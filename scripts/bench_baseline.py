@@ -53,6 +53,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.config import bench_default, paper_default  # noqa: E402
 from repro.network.simulator import NetworkSimulator  # noqa: E402
+from repro.obs.profiler import exclusive_times  # noqa: E402
 
 BASELINE_PATH = REPO_ROOT / "BENCH_core.json"
 
@@ -284,20 +285,20 @@ def _detector_census_us_per_pass(detector_caching: bool) -> float:
 
 
 def _campaign_overhead(reps: int = 3) -> dict:
-    """Campaign wrapper cost vs the direct parallel sweep it wraps.
+    """Campaign wrapper cost vs the direct serial sweep it wraps.
 
-    Runs the same seeded 4-point tiny sweep through
-    :func:`~repro.metrics.parallel.run_load_sweep_parallel` and through a
-    fresh-store :class:`~repro.campaign.CampaignRunner` (per-point worker
-    processes + atomic artifact writes + manifest updates), best-of-``reps``
-    each.  The overhead is a ratio and transfers across machines; the
-    acceptance bar is <5% — durability must be close to free.
+    Runs the same seeded 4-point tiny sweep through the in-process
+    :func:`~repro.metrics.sweep.run_load_sweep` and through a fresh-store
+    :class:`~repro.campaign.CampaignRunner` pinned to one worker (per-point
+    worker processes + atomic artifact writes + manifest updates),
+    best-of-``reps`` each.  The overhead is a ratio and transfers across
+    machines; the acceptance bar is <5% — durability must be close to free.
     """
     import tempfile
 
     from repro.campaign import CampaignRunner
     from repro.config import tiny_default
-    from repro.metrics.parallel import run_load_sweep_parallel
+    from repro.metrics.sweep import run_load_sweep
 
     # points must be long enough to be representative: real sweep points run
     # seconds-to-minutes, so per-point fixed costs (worker spawn, artifact
@@ -307,18 +308,16 @@ def _campaign_overhead(reps: int = 3) -> dict:
     cfg = tiny_default(
         warmup_cycles=200, measure_cycles=12_000, seed=1, validation_level=0
     )
-    # both paths resolve workers the same way (cores - 1, floor 1), so the
-    # comparison measures the durability wrapper, not a concurrency delta
-    from repro.metrics.parallel import _resolve_workers
-
-    workers = _resolve_workers(None)
+    # one campaign worker against the serial sweep, so the comparison
+    # measures the durability wrapper, not a concurrency delta
+    workers = 1
 
     # interleave the reps: a background-load transient then slows a
     # direct/campaign pair together instead of skewing one phase
     pairs: list[tuple[float, float]] = []
     for _ in range(reps):
         t0 = time.perf_counter()
-        direct = run_load_sweep_parallel(cfg, loads, max_workers=workers)
+        direct = run_load_sweep(cfg, loads)
         rep_direct = time.perf_counter() - t0
 
         with tempfile.TemporaryDirectory(prefix="bench_campaign_") as tmp:
@@ -342,7 +341,7 @@ def _campaign_overhead(reps: int = 3) -> dict:
     )
 
     return {
-        "scenario": "campaign_tiny_parallel_sweep",
+        "scenario": "campaign_tiny_sweep",
         "points": len(loads),
         "workers": workers,
         "direct_s": round(direct_s, 3),
@@ -368,36 +367,6 @@ def _share_pct(part_s: float, total_s: float) -> float:
         if rounded:
             return rounded
     return pct
-
-
-#: nested phase-name prefix -> the enclosing top-level phase.  The detector
-#: accounts its region pipeline under ``detect/*`` while it runs *inside*
-#: the engine's ``engine/detect`` timer, so a child's wall-clock is counted
-#: twice in a raw snapshot.
-_NESTED_UNDER = {"detect/": "engine/detect"}
-
-
-def _exclusive_times(snap: dict) -> dict[str, float]:
-    """Exclusive (self) seconds per phase: parents minus their nested children.
-
-    The raw profiler snapshot is inclusive — ``engine/detect`` contains the
-    time the detector also books under ``detect/*`` — so summing shares over
-    a raw snapshot exceeds 100%.  Subtracting each child group from its
-    parent makes the rows disjoint: they add up to the engine total (and
-    their shares to at most 100%).  Clamped at zero so timer jitter on a
-    near-empty parent can't go negative.
-    """
-    exclusive = {name: rec["total_s"] for name, rec in snap.items()}
-    for prefix, parent in _NESTED_UNDER.items():
-        if parent not in exclusive:
-            continue
-        nested = sum(
-            rec["total_s"]
-            for name, rec in snap.items()
-            if name.startswith(prefix)
-        )
-        exclusive[parent] = max(0.0, exclusive[parent] - nested)
-    return exclusive
 
 
 def _phase_breakdown() -> dict:
@@ -429,7 +398,7 @@ def _phase_breakdown() -> dict:
     for _ in range(spec["cycles"]):
         sim.step()
     snap = sim.obs.profiler.snapshot()
-    exclusive = _exclusive_times(snap)
+    exclusive = exclusive_times(snap)
     engine_total = sum(
         rec["total_s"] for name, rec in snap.items()
         if name.startswith("engine/")

@@ -30,6 +30,7 @@ mirrored into the manifest, where ``repro campaign status`` reads it.
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 import traceback
@@ -46,7 +47,7 @@ from repro.metrics.stats import RunResult
 from repro.metrics.sweep import SweepResult, obs_rollup
 from repro.obs.registry import MetricsRegistry
 
-__all__ = ["CampaignRunner", "CampaignSweep"]
+__all__ = ["CampaignRunner", "CampaignSweep", "sweep_from_points"]
 
 #: how long a hang-point fault sleeps — far past any sane per-point timeout
 _HANG_SECONDS = 3600.0
@@ -130,6 +131,31 @@ class CampaignSweep:
     remaining: int = 0  #: points not attempted (interrupted via max_points)
 
 
+def sweep_from_points(
+    base: SimulationConfig, loads: Sequence[float], label: str, out: dict
+) -> CampaignSweep:
+    """The sweep of ``base`` over ``loads`` from a runner's ``run_points``
+    result ``out`` on ``[base.replace(load=load) for load in loads]``.
+
+    Completed points land in load order; failed ones on ``sweep.failures``.
+    """
+    from repro.network.simulator import build_topology
+
+    done = sorted(out["completed"])
+    points: list[StoredPoint] = [out["completed"][i] for i in done]
+    done_loads = [loads[i] for i in done]
+    sweep = SweepResult(
+        label=label or base.label(),
+        loads=done_loads,
+        results=[p.result for p in points],
+        capacity=build_topology(base).capacity_flits_per_node_cycle,
+        obs=obs_rollup(done_loads, [p.obs for p in points]),
+        failures=list(out["failures"]),
+    )
+    counts = {key: out[key] for key in ("resumed", "executed", "remaining")}
+    return CampaignSweep(sweep=sweep, failures=out["failures"], **counts)
+
+
 class CampaignRunner:
     """Drives configs through killable workers against a result store.
 
@@ -168,13 +194,13 @@ class CampaignRunner:
         max_points: Optional[int] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
-        from repro.metrics.parallel import _resolve_workers
-
         self.store = store if isinstance(store, ResultStore) else ResultStore(store)
         self.retries = max(0, retries)
         self.backoff_s = backoff_s
         self.timeout_s = timeout_s
-        self.workers = _resolve_workers(max_workers)
+        if max_workers is None:
+            max_workers = (os.cpu_count() or 2) - 1
+        self.workers = max(1, max_workers)
         self.max_points = max_points
         self.registry = registry if registry is not None else MetricsRegistry()
         # fork keeps per-point spawns cheap; spawn is the portable fallback
@@ -192,35 +218,14 @@ class CampaignRunner:
         *,
         progress: Callable[[SimulationConfig, RunResult], None] | None = None,
     ) -> CampaignSweep:
-        """Checkpointed drop-in for ``run_load_sweep[_parallel]``.
+        """Checkpointed drop-in for ``run_load_sweep``.
 
         Returns the merged sweep over every completed point; raises only on
         store-level problems (schema mismatch), never on point failures.
         """
-        from repro.network.simulator import build_topology
-
-        capacity = build_topology(base).capacity_flits_per_node_cycle
         configs = [base.replace(load=load) for load in loads]
         out = self.run_points(configs, progress=progress)
-        completed: dict[int, StoredPoint] = out["completed"]
-        done_loads = [loads[i] for i in sorted(completed)]
-        results = [completed[i].result for i in sorted(completed)]
-        snapshots = [completed[i].obs for i in sorted(completed)]
-        sweep = SweepResult(
-            label=label or base.label(),
-            loads=done_loads,
-            results=results,
-            capacity=capacity,
-            obs=obs_rollup(done_loads, snapshots),
-            failures=list(out["failures"]),
-        )
-        return CampaignSweep(
-            sweep=sweep,
-            failures=out["failures"],
-            resumed=out["resumed"],
-            executed=out["executed"],
-            remaining=out["remaining"],
-        )
+        return sweep_from_points(base, loads, label, out)
 
     def run_points(
         self,

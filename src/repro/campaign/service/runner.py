@@ -19,11 +19,10 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-from repro.campaign.runner import CampaignSweep
+from repro.campaign.runner import CampaignSweep, sweep_from_points
 from repro.campaign.store import PointFailure, StoredPoint
 from repro.config import SimulationConfig
 from repro.metrics.stats import RunResult
-from repro.metrics.sweep import SweepResult, obs_rollup
 from repro.obs.registry import MetricsRegistry
 
 __all__ = ["ServiceRunner"]
@@ -69,30 +68,9 @@ class ServiceRunner:
         progress: Callable[[SimulationConfig, RunResult], None] | None = None,
     ) -> CampaignSweep:
         """Submit a load sweep, wait for the drain, merge from the store."""
-        from repro.network.simulator import build_topology
-
-        capacity = build_topology(base).capacity_flits_per_node_cycle
         configs = [base.replace(load=load) for load in loads]
         out = self.run_points(configs, progress=progress)
-        completed: dict[int, StoredPoint] = out["completed"]
-        done_loads = [loads[i] for i in sorted(completed)]
-        results = [completed[i].result for i in sorted(completed)]
-        snapshots = [completed[i].obs for i in sorted(completed)]
-        sweep = SweepResult(
-            label=label or base.label(),
-            loads=done_loads,
-            results=results,
-            capacity=capacity,
-            obs=obs_rollup(done_loads, snapshots),
-            failures=list(out["failures"]),
-        )
-        return CampaignSweep(
-            sweep=sweep,
-            failures=out["failures"],
-            resumed=out["resumed"],
-            executed=out["executed"],
-            remaining=out["remaining"],
-        )
+        return sweep_from_points(base, loads, label, out)
 
     def run_points(
         self,

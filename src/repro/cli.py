@@ -268,23 +268,37 @@ def _parse_int_tuple(value: str) -> tuple[int, ...]:
 def _add_campaign_run_args(
     parser: argparse.ArgumentParser, *, store_required: bool
 ) -> None:
-    """The campaign-execution knobs shared by `experiment` and `campaign`."""
+    """The campaign-execution knobs shared by `experiment` and `campaign`.
+
+    Where ``--store`` is optional, a knob left out stays off the namespace,
+    so :func:`main` can reject one given without ``--store``.
+    """
     parser.add_argument(
         "--store", required=store_required, metavar="DIR",
         help="result-store directory; completed points are checkpointed "
              "there and skipped on re-invocation"
         + ("" if store_required else " (omitting it runs plain sweeps)"),
     )
-    parser.add_argument("--retries", type=int, default=2,
+    unset = {} if store_required else {"default": argparse.SUPPRESS}
+    parser.add_argument("--retries", type=int, **({"default": 2} | unset),
                         help="re-attempts per failed point (default 2)")
-    parser.add_argument("--timeout", type=float, default=None, metavar="SECS",
+    parser.add_argument("--timeout", type=float, metavar="SECS", **unset,
                         help="per-point wall-clock budget; a worker past it "
                              "is killed and the attempt retried")
-    parser.add_argument("--workers", type=int, default=None,
+    parser.add_argument("--workers", type=int, **unset,
                         help="concurrent worker processes (default: cores-1)")
-    parser.add_argument("--max-points", type=int, default=None,
+    parser.add_argument("--max-points", type=int, **unset,
                         help="stop after N fresh point executions "
                              "(interruption hook used by tests/CI)")
+
+
+#: campaign knob flag -> (namespace attribute, CampaignRunner keyword)
+_RUNNER_KNOBS = {
+    "--retries": ("retries", "retries"),
+    "--timeout": ("timeout", "timeout_s"),
+    "--workers": ("workers", "max_workers"),
+    "--max-points": ("max_points", "max_points"),
+}
 
 
 def _run_simulate(args: argparse.Namespace) -> int:
@@ -354,13 +368,12 @@ def _campaign_runner_from_args(args: argparse.Namespace):
         return None
     from repro.campaign import CampaignRunner, ResultStore
 
-    return CampaignRunner(
-        ResultStore(args.store),
-        retries=args.retries,
-        timeout_s=args.timeout,
-        max_workers=args.workers,
-        max_points=args.max_points,
-    )
+    knobs = {
+        keyword: getattr(args, dest)
+        for dest, keyword in _RUNNER_KNOBS.values()
+        if hasattr(args, dest)
+    }
+    return CampaignRunner(ResultStore(args.store), **knobs)
 
 
 def _print_campaign_summary(runner) -> None:
@@ -610,7 +623,12 @@ def _run_oracle(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "experiment" and not args.store:
+        given = [f for f, (dest, _) in _RUNNER_KNOBS.items() if hasattr(args, dest)]
+        if given:
+            parser.error(f"experiment: --store is required with {', '.join(given)}")
     if args.command == "simulate":
         return _run_simulate(args)
     if args.command == "campaign":

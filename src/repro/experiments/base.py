@@ -129,6 +129,14 @@ def scaled_loads(scale: str) -> list[float]:
     return [0.3, 0.6, 0.9, 1.2]
 
 
+def _fmt_cell(v: object) -> str:
+    if isinstance(v, float):
+        if v == float("inf"):
+            return "inf"
+        return f"{v:.4f}" if abs(v) < 10 else f"{v:.1f}"
+    return str(v)
+
+
 def format_table(
     title: str,
     columns: Sequence[str],
@@ -136,15 +144,7 @@ def format_table(
     notes: Sequence[str] = (),
 ) -> str:
     """Plain-text table rendering used by every experiment report."""
-
-    def fmt(v: object) -> str:
-        if isinstance(v, float):
-            if v == float("inf"):
-                return "inf"
-            return f"{v:.4f}" if abs(v) < 10 else f"{v:.1f}"
-        return str(v)
-
-    str_rows = [[fmt(v) for v in row] for row in rows]
+    str_rows = [[_fmt_cell(v) for v in row] for row in rows]
     widths = [
         max(len(col), *(len(r[i]) for r in str_rows)) if str_rows else len(col)
         for i, col in enumerate(columns)
@@ -184,10 +184,13 @@ class ExperimentResult:
                     row["avg_deadlock_set"],
                     row["avg_resource_set"],
                     row["avg_knot_density"],
-                    row["avg_cycles"],
+                    # a capped census makes the mean a lower bound
+                    f"≥{_fmt_cell(row['avg_cycles'])}"
+                    if result.cycle_count_saturated
+                    else row["avg_cycles"],
                     row["blocked_pct"],
                 )
-                for row in sweep.rows()
+                for row, result in zip(sweep.rows(), sweep.results)
             ]
             sat = sweep.saturation_load
             notes = [f"saturation load ~ {sat}" if sat is not None else "no saturation"]

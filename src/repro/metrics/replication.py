@@ -107,27 +107,21 @@ def replicate(
     seeds: Sequence[int] = range(5),
     *,
     metrics: Optional[dict[str, Callable[[RunResult], float]]] = None,
-    parallel: bool = False,
-    max_workers: Optional[int] = None,
 ) -> ReplicatedResult:
-    """Run ``base`` once per seed and aggregate the metrics.
+    """Run ``base`` once per seed, in process, and aggregate the metrics.
 
     Seeds replace ``base.seed``; all other fields (including the traffic
     stream derivation) follow each run's own seed, so replicas are fully
-    independent.
+    independent.  To spread replicas over worker processes, run the same
+    configs through a campaign:
+    ``CampaignRunner(store).run_points([base.replace(seed=s) for s in seeds])``.
     """
+    from repro.network.simulator import NetworkSimulator
+
     seeds = list(seeds)
     if not seeds:
         raise ValueError("at least one seed is required")
-    configs = [base.replace(seed=s) for s in seeds]
-    if parallel:
-        from repro.metrics.parallel import run_matrix_parallel
-
-        runs = run_matrix_parallel(configs, max_workers=max_workers)
-    else:
-        from repro.network.simulator import NetworkSimulator
-
-        runs = [NetworkSimulator(cfg).run() for cfg in configs]
+    runs = [NetworkSimulator(base.replace(seed=s)).run() for s in seeds]
     metrics = metrics or DEFAULT_METRICS
     estimates = {
         name: MetricEstimate(name, tuple(fn(r) for r in runs))

@@ -125,6 +125,16 @@ class RunResult:
         return max(self.cycle_counts, default=0)
 
     @property
+    def cycle_cap_fraction(self) -> float:
+        """Share of detection passes whose census stopped at
+        ``config.max_cycles_counted``; when > 0, :attr:`avg_cycle_count` is
+        a lower bound."""
+        if not self.cycle_counts:
+            return 0.0
+        cap = self.config.max_cycles_counted
+        return sum(c >= cap for c in self.cycle_counts) / len(self.cycle_counts)
+
+    @property
     def avg_blocked_messages(self) -> float:
         return _mean(self.blocked_samples)
 

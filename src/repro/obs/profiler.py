@@ -22,7 +22,31 @@ from typing import TYPE_CHECKING, Optional
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.trace import TraceRecorder
 
-__all__ = ["PhaseProfiler", "PhaseTimer"]
+__all__ = ["PhaseProfiler", "PhaseTimer", "exclusive_times"]
+
+#: nested phase-name prefix -> the enclosing top-level phase.  The detector
+#: accounts its region pipeline under ``detect/*`` while it runs *inside*
+#: the engine's ``engine/detect`` timer, so a child's wall-clock is counted
+#: twice in a raw snapshot.
+_NESTED_UNDER = {"detect/": "engine/detect"}
+
+
+def exclusive_times(snap: dict) -> dict[str, float]:
+    """Exclusive (self) seconds per phase: parents minus their nested children.
+
+    A raw snapshot is inclusive (``engine/detect`` holds the time also booked
+    under ``detect/*``), so its shares sum past 100%.  Subtracting each child
+    group from its parent makes the rows disjoint; clamped at zero so timer
+    jitter on a near-empty parent can't go negative.
+    """
+    exclusive = {name: rec["total_s"] for name, rec in snap.items()}
+    for prefix, parent in _NESTED_UNDER.items():
+        if parent in exclusive:
+            nested = sum(
+                rec["total_s"] for name, rec in snap.items() if name.startswith(prefix)
+            )
+            exclusive[parent] = max(0.0, exclusive[parent] - nested)
+    return exclusive
 
 
 class PhaseTimer:
@@ -89,25 +113,27 @@ class PhaseProfiler:
         }
 
     def table(self, title: str = "phase profile") -> str:
-        """A printable per-phase time table, widest share first."""
-        rows = [
-            (name, t.total, t.calls)
-            for name, t in self.timers.items()
-            if t.calls
-        ]
-        if not rows:
+        """A printable per-phase time table, widest share first.
+
+        Times and shares are exclusive (nested ``detect/*`` time is taken
+        out of ``engine/detect``), so the shares sum to 100%; ``us/call``
+        is the inclusive time of one call.
+        """
+        snap = {
+            name: rec for name, rec in self.snapshot().items() if rec["calls"]
+        }
+        if not snap:
             return f"{title}\n  (no phases recorded)"
-        rows.sort(key=lambda r: -r[1])
-        total = sum(r[1] for r in rows if "/" not in r[0]) or sum(
-            r[1] for r in rows
-        )
-        width = max(len(r[0]) for r in rows)
+        own = exclusive_times(snap)
+        total = sum(own.values())
+        width = max(len(name) for name in snap)
         lines = [title, "-" * len(title)]
-        for name, seconds, calls in rows:
-            avg_us = 1e6 * seconds / calls
-            share = 100.0 * seconds / total if total else 0.0
+        for name in sorted(snap, key=lambda n: -own[n]):
+            calls = snap[name]["calls"]
+            avg_us = 1e6 * snap[name]["total_s"] / calls
+            share = 100.0 * own[name] / total if total else 0.0
             lines.append(
-                f"  {name.ljust(width)}  {seconds * 1e3:10.2f} ms  "
+                f"  {name.ljust(width)}  {own[name] * 1e3:10.2f} ms  "
                 f"{calls:>9} calls  {avg_us:10.1f} us/call  {share:5.1f}%"
             )
         return "\n".join(lines)

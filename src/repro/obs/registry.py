@@ -7,8 +7,8 @@ branch on a level flag themselves — they hold a reference to either a live
 instruments are shared no-op singletons.  A disabled call site therefore
 costs one attribute lookup and one no-op call, and nothing allocates.
 
-Snapshots are plain JSON-able dicts so worker processes can ship them back
-to a sweep parent over a process pool (:mod:`repro.metrics.parallel`), where
+Snapshots are plain JSON-able dicts so campaign worker processes can store
+them with each point's artifact (:mod:`repro.campaign.runner`), from where
 :func:`merge_snapshots` folds them into a whole-sweep rollup.  Merging is
 associative and commutative — counters and histogram buckets add, gauges
 keep their maximum — so per-config and whole-sweep rollups agree regardless

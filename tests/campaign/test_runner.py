@@ -63,6 +63,29 @@ class TestResume:
         assert out.resumed == 0 and out.executed == 1
 
 
+class TestProgress:
+    def test_progress_fires_for_completed_points_only(
+        self, tmp_path, monkeypatch
+    ):
+        """One callback per finished point; a degraded point fires none."""
+        monkeypatch.setenv(faults.ENV_VAR, "crash-point")
+        monkeypatch.setenv(faults.MATCH_ENV_VAR, "L=0.60")
+        cfg = tiny_default(**FAST)
+        seen = []
+        out = CampaignRunner(
+            tmp_path / "store", retries=0, max_workers=1
+        ).run_sweep(
+            cfg,
+            [0.3, 0.6, 0.9],
+            progress=lambda config, result: seen.append(
+                (config.load, result.delivered)
+            ),
+        )
+        assert [load for load, _ in seen] == [0.3, 0.9]
+        assert [d for _, d in seen] == [r.delivered for r in out.sweep.results]
+        assert [f.load for f in out.failures] == [0.6]
+
+
 class TestRetry:
     def test_flaky_point_retries_then_succeeds(self, tmp_path, monkeypatch):
         monkeypatch.setenv(faults.ENV_VAR, "flaky-point")

@@ -1,51 +1,12 @@
-"""Tests for the parallel sweep runner and multi-seed replication."""
+"""Tests for multi-seed replication, in process and through a campaign."""
 
 import pytest
 
+from repro.campaign import CampaignRunner
 from repro.config import tiny_default
-from repro.metrics.parallel import (
-    run_load_sweep_parallel,
-    run_matrix_parallel,
-    run_point,
-)
 from repro.metrics.replication import MetricEstimate, replicate
-from repro.metrics.sweep import run_load_sweep
 
 FAST = dict(measure_cycles=400, warmup_cycles=50)
-
-
-class TestParallel:
-    def test_run_point_matches_direct(self):
-        from repro.network.simulator import NetworkSimulator
-
-        cfg = tiny_default(load=0.4, **FAST)
-        a = run_point(cfg)
-        b = NetworkSimulator(cfg).run()
-        assert a.delivered == b.delivered
-        assert a.deadlocks == b.deadlocks
-
-    def test_parallel_sweep_matches_serial(self):
-        cfg = tiny_default(**FAST)
-        loads = [0.2, 0.5]
-        serial = run_load_sweep(cfg, loads)
-        parallel = run_load_sweep_parallel(cfg, loads, max_workers=2)
-        assert parallel.loads == serial.loads
-        for a, b in zip(parallel.results, serial.results):
-            assert a.delivered == b.delivered
-            assert a.deadlocks == b.deadlocks
-            assert a.latency_sum == b.latency_sum
-
-    def test_single_worker_path(self):
-        cfg = tiny_default(**FAST)
-        sweep = run_load_sweep_parallel(cfg, [0.3], max_workers=1)
-        assert len(sweep.results) == 1
-
-    def test_matrix(self):
-        cfgs = [tiny_default(load=l, **FAST) for l in (0.2, 0.4, 0.6)]
-        results = run_matrix_parallel(cfgs, max_workers=2)
-        assert len(results) == 3
-        # results arrive in submission order
-        assert [r.config.load for r in results] == [0.2, 0.4, 0.6]
 
 
 class TestMetricEstimate:
@@ -91,9 +52,14 @@ class TestReplicate:
         with pytest.raises(ValueError):
             replicate(tiny_default(), seeds=[])
 
-    def test_parallel_replication_matches_serial(self):
+    def test_parallel_replication_matches_serial(self, tmp_path):
+        """Replicas fanned out through a campaign equal the serial ones."""
         cfg = tiny_default(load=0.5, **FAST)
-        serial = replicate(cfg, seeds=[7, 8])
-        parallel = replicate(cfg, seeds=[7, 8], parallel=True, max_workers=2)
-        assert serial["deadlocks"].samples == parallel["deadlocks"].samples
-        assert serial["delivered"].samples == parallel["delivered"].samples
+        seeds = [7, 8]
+        serial = replicate(cfg, seeds=seeds)
+        out = CampaignRunner(tmp_path / "store", max_workers=2).run_points(
+            [cfg.replace(seed=s) for s in seeds]
+        )
+        assert not out["failures"]
+        runs = [out["completed"][i].result for i in range(len(seeds))]
+        assert runs == list(serial.runs)

@@ -25,6 +25,30 @@ class TestRunResultDerived:
         assert make_result(deadlocks=0).normalized_deadlocks == 0.0
         assert make_result(deadlocks=3).normalized_deadlocks == float("inf")
 
+    def test_cycle_cap_fraction(self):
+        cfg = tiny_default(max_cycles_counted=100)
+        r = make_result(
+            config=cfg, cycle_counts=[3, 100, 40, 100], cycle_count_saturated=True
+        )
+        assert r.cycle_cap_fraction == 0.5
+        assert make_result(config=cfg).cycle_cap_fraction == 0.0
+        assert make_result(config=cfg, cycle_counts=[99]).cycle_cap_fraction == 0.0
+
+    def test_capped_cycle_mean_renders_as_lower_bound(self):
+        from repro.experiments.base import ExperimentResult
+        from repro.metrics.sweep import SweepResult
+
+        cfg = tiny_default(max_cycles_counted=100)
+        capped = make_result(
+            config=cfg, cycle_counts=[100, 50], cycle_count_saturated=True
+        )
+        exact = make_result(config=cfg, cycle_counts=[20, 30])
+        sweep = SweepResult("s", [0.5, 0.9], [exact, capped], capacity=1.0)
+        text = ExperimentResult("FIGX", "d", {"s": sweep}).format_tables()
+        rows = [line.split() for line in text.splitlines()]
+        cycles = [row[7] for row in rows if row and row[0] in ("0.5000", "0.9000")]
+        assert cycles == ["25.0", "≥75.0"]
+
     def test_set_size_aggregates(self):
         r = make_result(deadlock_set_sizes=[2, 4, 6], resource_set_sizes=[8, 16])
         assert r.avg_deadlock_set_size == 4.0

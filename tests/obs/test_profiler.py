@@ -1,6 +1,6 @@
 """Unit tests for the phase profiler and its trace-span emission."""
 
-from repro.obs.profiler import PhaseProfiler, PhaseTimer
+from repro.obs.profiler import PhaseProfiler, PhaseTimer, exclusive_times
 from repro.obs.trace import TraceRecorder
 
 
@@ -65,3 +65,37 @@ def test_table_renders_every_recorded_phase():
     # widest share first
     assert text.index("engine/allocate") < text.index("engine/move")
     assert PhaseProfiler().table().endswith("(no phases recorded)")
+
+
+def _table_shares(text: str) -> dict[str, float]:
+    rows = [line.split() for line in text.splitlines()[2:]]
+    return {row[0]: float(row[-1].rstrip("%")) for row in rows}
+
+
+def test_table_shares_are_exclusive_of_nested_detect_spans():
+    prof = PhaseProfiler()
+    prof.add("engine/generate", 1.0)
+    prof.add("engine/detect", 9.0)  # includes the 8 s booked below
+    prof.add("detect/census", 8.0)
+    shares = _table_shares(prof.table())
+    assert shares == {
+        "detect/census": 80.0,
+        "engine/generate": 10.0,
+        "engine/detect": 10.0,
+    }
+    assert abs(sum(shares.values()) - 100.0) <= 0.1
+
+
+def test_exclusive_times_subtracts_nested_children():
+    snap = {
+        "engine/detect": {"total_s": 9.0, "calls": 1},
+        "detect/census": {"total_s": 5.0, "calls": 1},
+        "detect/knots": {"total_s": 3.0, "calls": 1},
+        "engine/move": {"total_s": 2.0, "calls": 1},
+    }
+    assert exclusive_times(snap) == {
+        "engine/detect": 1.0,
+        "detect/census": 5.0,
+        "detect/knots": 3.0,
+        "engine/move": 2.0,
+    }

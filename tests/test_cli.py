@@ -21,6 +21,28 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "FIG99"])
 
+    @pytest.mark.parametrize(
+        "knob",
+        [["--workers", "4"], ["--retries", "2"], ["--timeout", "5"],
+         ["--max-points", "1"]],
+    )
+    def test_experiment_campaign_knob_without_store_rejected(self, knob, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiment", "FIG5", "--scale", "tiny", *knob])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert knob[0] in err and "--store" in err
+
+    def test_experiment_campaign_knobs_with_store(self, tmp_path):
+        from repro.cli import _campaign_runner_from_args
+
+        args = build_parser().parse_args(
+            ["experiment", "FIG5", "--store", str(tmp_path), "--workers", "3"]
+        )
+        runner = _campaign_runner_from_args(args)
+        assert runner.workers == 3
+        assert runner.retries == 2  # the runner's own default
+
     def test_command_required(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
