@@ -18,7 +18,10 @@ The end-to-end contract of the campaign service, run as part of
 5. verify the drained store is **bit-identical**, artifact for artifact,
    to the same campaign run by the single-host ``CampaignRunner``, and
    that a resumed single-host sweep over the store equals the plain
-   serial sweep.
+   serial sweep;
+6. drain the same campaign into a fresh store with ``local_workers=2``
+   and no TCP workers — the service's loopback slots — and verify that
+   store is bit-identical to the single-host one too.
 
 Everything is deterministic modulo scheduling interleave; the budget is
 well under the 90 s CI bound.  A failure replays locally with
@@ -91,6 +94,21 @@ def artifact_bytes(store: ResultStore) -> dict[str, bytes]:
         for p in store.points_dir.glob("*.json")
         if not p.name.endswith(".err.json")
     }
+
+
+def check_identical(
+    store: ResultStore, reference: ResultStore, what: str
+) -> None:
+    ours, theirs = artifact_bytes(store), artifact_bytes(reference)
+    if ours.keys() != theirs.keys():
+        fail(
+            f"{what} artifact sets differ: "
+            f"{sorted(ours)} vs {sorted(theirs)}"
+        )
+    for name in theirs:
+        if ours[name] != theirs[name]:
+            fail(f"{what} artifact {name} differs from single-host run")
+    print(f"serve_smoke: {what} store bit-identical to single-host campaign")
 
 
 def main() -> int:
@@ -183,15 +201,7 @@ def main() -> int:
             f"(workers: {sorted(workers_used)})"
         )
 
-        ours, theirs = artifact_bytes(store), artifact_bytes(reference)
-        if ours.keys() != theirs.keys():
-            fail(
-                f"artifact sets differ: {sorted(ours)} vs {sorted(theirs)}"
-            )
-        for name in theirs:
-            if ours[name] != theirs[name]:
-                fail(f"artifact {name} differs from single-host run")
-        print("serve_smoke: store bit-identical to single-host campaign")
+        check_identical(store, reference, "TCP-drained")
 
         resumed = CampaignRunner(store, max_workers=1).run_sweep(cfg, LOADS)
         if resumed.resumed != len(LOADS) or resumed.executed != 0:
@@ -202,6 +212,19 @@ def main() -> int:
         if resumed.sweep != run_load_sweep(cfg, LOADS):
             fail("resumed sweep is not bit-identical to the direct sweep")
         print("serve_smoke: resumed sweep bit-identical to direct sweep")
+
+        with CampaignService(Path(tmp) / "local", local_workers=2) as svc:
+            submitted = svc.submit_points(configs)
+            statuses = svc.wait_points(submitted["digests"], timeout=60)
+            bad = {d: s for d, s in statuses.items() if s["status"] != "done"}
+            if bad:
+                fail(f"local slots left points undone: {bad}")
+            workers_used = {p.worker for p in svc.scheduler.points.values()}
+        if not workers_used <= {"local/0", "local/1"}:
+            fail(f"points drained by non-local workers: {workers_used}")
+        check_identical(
+            ResultStore(Path(tmp) / "local"), reference, "local-slot"
+        )
 
     elapsed = time.monotonic() - started
     print(f"serve_smoke: OK ({elapsed:.1f}s)")

@@ -7,16 +7,18 @@ networked workers is **bit-identical** (artifact-for-artifact) to the
 same sweep run locally:
 
 * :mod:`~repro.campaign.service.scheduler` — work-stealing lease
-  scheduler: pending-point queue, lease TTL + heartbeats, reaping and
-  requeueing, priority classes, per-tenant quotas;
+  scheduler: a FIFO pending-point queue (requeued points go to the
+  back), lease TTL + heartbeats, reaping and requeueing;
 * :mod:`~repro.campaign.service.server` — :class:`CampaignService`, the
-  asyncio facade tying scheduler + executors + store together, including
-  journal-fed single-writer manifest compaction;
-* :mod:`~repro.campaign.service.executor` — the shared per-point
-  execution path and the in-process :class:`LocalForkExecutor` backend;
-* :mod:`~repro.campaign.service.worker` — the remote TCP worker
+  asyncio facade tying scheduler + workers + store together, including
+  journal-fed single-writer manifest compaction.  A claim with nothing
+  pending parks on the server until a lease or ``done`` can answer it;
+* :mod:`~repro.campaign.service.executor` — :func:`execute_point`, the
+  single way a worker runs a point;
+* :mod:`~repro.campaign.service.worker` — the TCP worker
   (``repro campaign worker --connect``) and its LDJSON protocol
-  (:mod:`~repro.campaign.service.protocol`);
+  (:mod:`~repro.campaign.service.protocol`).  The service's local slots
+  (``local_workers=N``) are N of these sessions on loopback connections;
 * :mod:`~repro.campaign.service.status` — polling-JSON + SSE live status
   (``repro campaign watch``);
 * :mod:`~repro.campaign.service.runner` — :class:`ServiceRunner`, the
@@ -24,7 +26,7 @@ same sweep run locally:
   use to drain their sweeps through a service.
 """
 
-from repro.campaign.service.executor import LocalForkExecutor, execute_point
+from repro.campaign.service.executor import execute_point
 from repro.campaign.service.runner import ServiceRunner
 from repro.campaign.service.scheduler import Lease, LeaseScheduler, SchedulerPoint
 from repro.campaign.service.server import CampaignService, ServiceError
@@ -36,7 +38,6 @@ __all__ = [
     "LeaseScheduler",
     "SchedulerPoint",
     "Lease",
-    "LocalForkExecutor",
     "execute_point",
     "WorkerSession",
     "WorkerError",

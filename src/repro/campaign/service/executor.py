@@ -1,30 +1,28 @@
-"""Pluggable point-execution backends for the campaign service.
+"""The one way a campaign-service worker runs a point.
 
-Both backends — the in-process :class:`LocalForkExecutor` and the remote
-TCP worker (:mod:`repro.campaign.service.worker`) — funnel through
-:func:`execute_point`, which reuses the *existing* per-point machinery of
+Every :class:`~repro.campaign.service.worker.WorkerSession` — a remote
+machine's or one of the service's own loopback slots — runs its leases
+through :func:`execute_point`, which reuses the per-point machinery of
 :class:`~repro.campaign.runner.CampaignRunner` verbatim: a killable
 forked worker process per attempt, retry with exponential backoff, a
 per-point wall-clock timeout, and the injected point faults
 (``crash-point`` / ``flaky-point`` / ``hang-point``).  The point runs
 against a private throwaway :class:`~repro.campaign.store.ResultStore`,
 and the raw artifact JSON is lifted out of it — so a point executed by
-any backend on any machine produces byte-identical artifact payloads
+any worker on any machine produces byte-identical artifact payloads
 (simulations are deterministic given their config; JSON serialization is
 canonical).
 """
 
 from __future__ import annotations
 
-import asyncio
-import functools
 import tempfile
 from typing import Optional
 
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.store import ResultStore, config_from_json
 
-__all__ = ["execute_point", "LocalForkExecutor"]
+__all__ = ["execute_point"]
 
 
 def execute_point(
@@ -68,81 +66,3 @@ def execute_point(
             "kind": failure.kind,
             "attempts": failure.attempts,
         }
-
-
-class LocalForkExecutor:
-    """N in-process slots draining the scheduler through forked workers.
-
-    The local twin of a remote TCP worker: each slot loops claim → run →
-    report against the service's scheduler directly (no sockets), running
-    the blocking fork/wait machinery on the default thread-pool executor
-    so the event loop stays responsive.  While a point runs, the slot
-    heartbeats its lease from the event-loop side — the same liveness
-    contract remote workers honour.
-    """
-
-    def __init__(
-        self,
-        service,
-        slots: int,
-        *,
-        retries: int = 2,
-        backoff_s: float = 0.25,
-        timeout_s: Optional[float] = None,
-        idle_poll_s: float = 0.2,
-    ) -> None:
-        self.service = service
-        self.slots = max(0, slots)
-        self.retries = retries
-        self.backoff_s = backoff_s
-        self.timeout_s = timeout_s
-        self.idle_poll_s = idle_poll_s
-        self._tasks: list[asyncio.Task] = []
-        self._stopping = asyncio.Event()
-
-    def start(self) -> None:
-        for slot in range(self.slots):
-            self._tasks.append(
-                asyncio.get_running_loop().create_task(self._run_slot(slot))
-            )
-
-    async def stop(self) -> None:
-        self._stopping.set()
-        for task in self._tasks:
-            task.cancel()
-        for task in self._tasks:
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
-        self._tasks.clear()
-
-    async def _run_slot(self, slot: int) -> None:
-        service = self.service
-        worker = f"local/{slot}"
-        service.scheduler.connect_worker(worker)
-        loop = asyncio.get_running_loop()
-        heartbeat_s = service.scheduler.lease_ttl / 3.0
-        while not self._stopping.is_set():
-            lease = service.scheduler.claim(worker)
-            if lease is None:
-                await asyncio.sleep(self.idle_poll_s)
-                continue
-            run = loop.run_in_executor(
-                None,
-                functools.partial(
-                    execute_point,
-                    lease["config"],
-                    schema_version=service.store.schema_version,
-                    retries=self.retries,
-                    backoff_s=self.backoff_s,
-                    timeout_s=self.timeout_s,
-                ),
-            )
-            while True:
-                done, _ = await asyncio.wait([run], timeout=heartbeat_s)
-                if done:
-                    break
-                service.scheduler.heartbeat(worker, lease["digest"])
-            outcome = run.result()
-            service.finish_point(worker, lease["digest"], outcome)

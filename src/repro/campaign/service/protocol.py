@@ -1,6 +1,6 @@
 """Line-delimited-JSON worker protocol: framing and message vocabulary.
 
-One campaign service talks to N remote workers over TCP.  Every message
+One campaign service talks to N workers over TCP.  Every message
 is a single JSON object on one ``\\n``-terminated line — trivially
 debuggable with ``nc`` and immune to partial-read framing bugs.
 
@@ -10,11 +10,11 @@ point of view, with exactly one exception:
 ========== =============================== ===========================
 direction  message                          reply
 ========== =============================== ===========================
-worker →   ``hello`` {worker, tenant,       ``welcome`` {lease_ttl,
-           schema_version}                  heartbeat_s, schema_version}
+worker →   ``hello`` {worker,               ``welcome`` {lease_ttl,
+           schema_version,                  heartbeat_s, schema_version,
+           protocol_version}                protocol_version}
 worker →   ``claim`` {}                     ``lease`` {digest, config,
                                             label, attempt} |
-                                            ``idle`` {retry_after_s} |
                                             ``done`` {}
 worker →   ``heartbeat`` {digest}           *(no reply — see below)*
 worker →   ``result`` {digest, artifact,    ``ack`` {status}
@@ -24,14 +24,20 @@ worker →   ``point-failed`` {digest,        ``ack`` {status}
 worker →   ``bye`` {}                       *(connection closes)*
 ========== =============================== ===========================
 
+A ``claim`` with nothing pending *parks*: the reply comes when a point is
+submitted (``lease``) or the sealed campaign has drained (``done``).  A
+worker that closes its connection while parked is dropped without ever
+being granted a lease.
+
 Heartbeats are deliberately unacknowledged: they are sent from a side
 thread while the worker's main thread is blocked running a point, and an
 ack would race the main thread's pending request/response pairing.  The
 server replies ``error`` {detail} to malformed or out-of-order traffic.
 
-A ``welcome`` whose ``schema_version`` differs from the worker's store
-schema aborts the session — shipping artifacts across schema versions
-would poison the store (same refusal the :class:`~repro.campaign.store.
+A ``hello`` whose ``schema_version`` differs from the service's store
+schema, or whose ``protocol_version`` differs from the service's, is
+refused with ``error`` — shipping artifacts across schema versions would
+poison the store (same refusal the :class:`~repro.campaign.store.
 StoreSchemaError` path enforces on disk).
 """
 
@@ -51,7 +57,7 @@ __all__ = [
 ]
 
 #: bumped when the message vocabulary changes incompatibly
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: generous per-line bound — an artifact for a paper-scale point is ~10 kB;
 #: anything near this bound is a framing bug, not data

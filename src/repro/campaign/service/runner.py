@@ -35,10 +35,6 @@ class ServiceRunner:
     ----------
     service:
         A started :class:`~repro.campaign.service.server.CampaignService`.
-    tenant / priority:
-        Scheduling identity for every point this runner submits — two
-        runners sharing one service can carry different tenants, and the
-        scheduler's quotas keep either from starving the other.
     wait_timeout_s:
         Upper bound on one batch drain (``None`` = wait forever).
     """
@@ -47,15 +43,11 @@ class ServiceRunner:
         self,
         service,
         *,
-        tenant: str = "default",
-        priority: int = 0,
         wait_timeout_s: Optional[float] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.service = service
         self.store = service.store
-        self.tenant = tenant
-        self.priority = priority
         self.wait_timeout_s = wait_timeout_s
         self.registry = registry if registry is not None else MetricsRegistry()
 
@@ -85,9 +77,7 @@ class ServiceRunner:
         at once; per-point streaming lives on the status endpoint).
         """
         self.registry.counter("campaign/points_total").inc(len(configs))
-        submitted = self.service.submit_points(
-            configs, tenant=self.tenant, priority=self.priority
-        )
+        submitted = self.service.submit_points(configs)
         statuses = self.service.wait_points(
             submitted["digests"], timeout=self.wait_timeout_s
         )

@@ -1,4 +1,4 @@
-"""The campaign service: scheduler + executors + store, behind one facade.
+"""The campaign service: scheduler + workers + store, behind one facade.
 
 :class:`CampaignService` runs an asyncio event loop on a background
 thread and exposes a small synchronous API (``start`` / ``submit_points``
@@ -9,10 +9,9 @@ test-suite all drive it without touching asyncio themselves.
 On the loop live:
 
 * the **TCP worker server** (line-delimited JSON, see
-  :mod:`repro.campaign.service.protocol`) remote machines connect to;
-* the **local fork executor** (:class:`~repro.campaign.service.executor.
-  LocalForkExecutor`) — N in-process slots claiming from the same
-  scheduler, so one box can drain a campaign with zero network setup;
+  :mod:`repro.campaign.service.protocol`) every worker connects to.  A
+  ``claim`` with nothing pending *parks* until a point is submitted or
+  the sealed campaign drains, so workers never poll;
 * the **reaper**, which expires silent leases and requeues their points
   (work stealing's liveness half);
 * the **compactor**, the store's single manifest writer: every completed
@@ -22,10 +21,15 @@ On the loop live:
 * the **status server** (:mod:`repro.campaign.service.status`), polling
   JSON + SSE, when a status port is configured.
 
+Local slots (``local_workers=N``) are N in-process
+:class:`~repro.campaign.service.worker.WorkerSession` threads connected
+to the service's own port, so one box drains a campaign with zero
+network setup through the very protocol remote machines speak.
+
 The core invariant — a campaign drained by any mix of local slots and
 remote workers is bit-identical (artifact-for-artifact, digest-for-digest)
 to a single-host :class:`~repro.campaign.runner.CampaignRunner` run — is
-enforced by construction: every backend runs points through the same
+enforced by construction: every worker runs points through the same
 forked-worker machinery and ships the canonical artifact JSON, and the
 service writes artifacts through the same atomic store path.
 """
@@ -38,8 +42,8 @@ import time
 from typing import Optional, Sequence
 
 from repro.campaign.service import protocol
-from repro.campaign.service.executor import LocalForkExecutor
 from repro.campaign.service.scheduler import LeaseScheduler
+from repro.campaign.service.worker import WorkerError, WorkerSession
 from repro.campaign.store import (
     ResultStore,
     StoreSchemaError,
@@ -70,14 +74,15 @@ class CampaignService:
     status_port:
         Bind the polling-JSON/SSE status endpoint here (``0`` =
         ephemeral, ``None`` = no status server).
-    lease_ttl / requeue_limit / quotas / default_quota:
+    lease_ttl / requeue_limit:
         Scheduler knobs — see :class:`~repro.campaign.service.scheduler.
         LeaseScheduler`.
     local_workers:
-        Local fork-executor slots (0 = rely on remote workers entirely).
+        Loopback worker sessions started with the service (0 = rely on
+        remote workers entirely).
     retries / backoff_s / timeout_s:
-        Per-point fork machinery knobs applied by the *local* executor
-        (remote workers bring their own).
+        Per-point fork machinery knobs of the *local* slots (remote
+        workers bring their own).
     compact_interval_s:
         How often the journal is folded into the manifest.
     """
@@ -91,22 +96,17 @@ class CampaignService:
         status_port: Optional[int] = None,
         lease_ttl: float = 15.0,
         requeue_limit: int = 3,
-        quotas: Optional[dict[str, int]] = None,
-        default_quota: Optional[int] = None,
         local_workers: int = 0,
         retries: int = 2,
         backoff_s: float = 0.25,
         timeout_s: Optional[float] = None,
         compact_interval_s: float = 2.0,
-        idle_retry_s: float = 0.5,
     ) -> None:
         self.store = store if isinstance(store, ResultStore) else ResultStore(store)
         self.store.load_manifest()  # fail fast on schema mismatch
         self.scheduler = LeaseScheduler(
             lease_ttl=lease_ttl,
             requeue_limit=requeue_limit,
-            quotas=quotas,
-            default_quota=default_quota,
         )
         self.host = host
         self.port = port
@@ -116,7 +116,6 @@ class CampaignService:
         self.backoff_s = backoff_s
         self.timeout_s = timeout_s
         self.compact_interval_s = compact_interval_s
-        self.idle_retry_s = idle_retry_s
         self.writer_id = new_writer_id()
         self.started_at: Optional[float] = None
         self.obs_merged: Optional[dict] = None  #: live merged point snapshots
@@ -125,14 +124,15 @@ class CampaignService:
         self._thread: Optional[threading.Thread] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._status_server = None
-        self._executor: Optional[LocalForkExecutor] = None
+        self._local: list[threading.Thread] = []
         self._tasks: list[asyncio.Task] = []
         self._change: Optional[asyncio.Event] = None
-        self._connections = 0
+        #: one task per open worker connection, parked claims included
+        self._handlers: set[asyncio.Task] = set()
 
     # -- lifecycle ---------------------------------------------------------------
     def start(self) -> "CampaignService":
-        """Bind the servers and start the background event loop."""
+        """Bind the servers, start the event loop, then the local slots."""
         if self._thread is not None:
             raise ServiceError("service already started")
         ready = threading.Event()
@@ -164,7 +164,33 @@ class CampaignService:
             self._thread = None
             raise ServiceError(f"service failed to start: {failure[0]}")
         self.started_at = time.time()
+        self._local = [
+            threading.Thread(
+                target=self._run_local_slot,
+                args=(slot,),
+                name=f"campaign-local-{slot}",
+                daemon=True,
+            )
+            for slot in range(self.local_workers)
+        ]
+        for thread in self._local:
+            thread.start()
         return self
+
+    def _run_local_slot(self, slot: int) -> None:
+        session = WorkerSession(
+            self.host,
+            self.port,
+            worker_id=f"local/{slot}",
+            schema_version=self.store.schema_version,
+            retries=self.retries,
+            backoff_s=self.backoff_s,
+            timeout_s=self.timeout_s,
+        )
+        try:
+            session.run()
+        except (WorkerError, OSError):
+            pass  # the service stopped before the campaign drained
 
     async def _a_start(self) -> None:
         self._change = asyncio.Event()
@@ -181,14 +207,6 @@ class CampaignService:
             self._status_server = StatusServer(self, self.host, self.status_port)
             await self._status_server.start()
             self.status_port = self._status_server.port
-        self._executor = LocalForkExecutor(
-            self,
-            self.local_workers,
-            retries=self.retries,
-            backoff_s=self.backoff_s,
-            timeout_s=self.timeout_s,
-        )
-        self._executor.start()
         loop = asyncio.get_running_loop()
         self._tasks = [
             loop.create_task(self._reaper()),
@@ -201,7 +219,7 @@ class CampaignService:
             return
         self.seal()
         deadline = time.monotonic() + max(0.0, grace_s)
-        while self._connections > 0 and time.monotonic() < deadline:
+        while self._handlers and time.monotonic() < deadline:
             time.sleep(0.05)
         future = asyncio.run_coroutine_threadsafe(self._a_stop(), self._loop)
         future.result(timeout=10.0)
@@ -209,10 +227,15 @@ class CampaignService:
         self._thread.join(timeout=10.0)
         self._loop = None
         self._thread = None
+        for thread in self._local:
+            thread.join(timeout=grace_s)
+        self._local = []
 
     async def _a_stop(self) -> None:
-        if self._executor is not None:
-            await self._executor.stop()
+        # hang up on workers still connected after the grace period
+        for task in self._handlers:
+            task.cancel()
+        await asyncio.gather(*self._handlers, return_exceptions=True)
         for task in self._tasks:
             task.cancel()
         for task in self._tasks:
@@ -249,13 +272,7 @@ class CampaignService:
             raise ServiceError("service is not running (call start() first)")
         return asyncio.run_coroutine_threadsafe(coro, self._loop).result(timeout)
 
-    def submit_points(
-        self,
-        configs: Sequence[SimulationConfig],
-        *,
-        tenant: str = "default",
-        priority: int = 0,
-    ) -> dict:
+    def submit_points(self, configs: Sequence[SimulationConfig]) -> dict:
         """Queue fresh points; stored points are resumed, not re-run.
 
         Returns ``{"digests": [...], "submitted": [...], "resumed": [...]}``
@@ -274,19 +291,16 @@ class CampaignService:
                     self.store.has(config),
                 )
             )
-        return self._run(self._a_submit(prepared, tenant, priority))
+        return self._run(self._a_submit(prepared))
 
-    async def _a_submit(self, prepared, tenant: str, priority: int) -> dict:
+    async def _a_submit(self, prepared) -> dict:
         digests, submitted, resumed = [], [], []
         for digest, config_json, label, load, seed, stored in prepared:
             digests.append(digest)
             if stored:
                 resumed.append(digest)
                 continue
-            if self.scheduler.submit(
-                digest, config_json, label, load, seed,
-                tenant=tenant, priority=priority,
-            ):
+            if self.scheduler.submit(digest, config_json, label, load, seed):
                 submitted.append(digest)
         if resumed:
             self.store.journal_append(
@@ -358,7 +372,7 @@ class CampaignService:
                 if self.started_at
                 else 0.0,
                 "sealed": self._sealed,
-                "connections": self._connections,
+                "connections": len(self._handlers),
                 "worker_port": self.port,
             },
             "scheduler": self.scheduler.status(),
@@ -369,11 +383,12 @@ class CampaignService:
     def finish_point(self, worker: str, digest: str, outcome: dict) -> str:
         """Fold one executed point back in: store, journal, scheduler.
 
-        Called by every backend with an :func:`~repro.campaign.service.
-        executor.execute_point` outcome.  Success writes the artifact
-        atomically and journals a ``done`` record (the manifest itself is
-        only ever written by the compactor); terminal failure journals a
-        ``failed`` record.  Returns the scheduler verdict.
+        Called by the connection handler with a worker's
+        :func:`~repro.campaign.service.executor.execute_point` outcome.
+        Success writes the artifact atomically and journals a ``done``
+        record (the manifest itself is only ever written by the
+        compactor); terminal failure journals a ``failed`` record.
+        Returns the scheduler verdict.
         """
         point = self.scheduler.points.get(digest)
         if outcome.get("ok"):
@@ -444,10 +459,43 @@ class CampaignService:
                 pass
 
     # -- the TCP worker protocol --------------------------------------------------
+    async def _park_claim(
+        self, worker_id: str, reader: asyncio.StreamReader
+    ) -> Optional[dict]:
+        """Answer a ``claim`` with ``lease`` or ``done``, waiting for either.
+
+        While parked, the handler also watches the connection: ``None``
+        means the worker hung up (or broke lockstep by sending) first, and
+        it is dropped without ever being granted a lease.
+        """
+        hangup: Optional[asyncio.Task] = None
+        try:
+            while hangup is None or not hangup.done():
+                if self.scheduler.has_pending():
+                    return {"type": "lease", **self.scheduler.claim(worker_id)}
+                if self._sealed and self.scheduler.is_drained():
+                    return {"type": "done"}
+                if hangup is None:
+                    hangup = asyncio.ensure_future(reader.read(1))
+                self._change.clear()
+                change = asyncio.ensure_future(self._change.wait())
+                try:
+                    await asyncio.wait(
+                        {hangup, change}, return_when=asyncio.FIRST_COMPLETED
+                    )
+                finally:
+                    change.cancel()
+            return None
+        finally:
+            if hangup is not None:
+                hangup.cancel()
+                # the reader takes its next readline only once this is gone
+                await asyncio.gather(hangup, return_exceptions=True)
+
     async def _handle_conn(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self._connections += 1
+        self._handlers.add(asyncio.current_task())
         worker_id: Optional[str] = None
 
         def reply(message: dict) -> None:
@@ -466,18 +514,11 @@ class CampaignService:
                     break
                 kind = message["type"]
                 if kind == "hello":
-                    schema = message.get("schema_version")
-                    if schema != self.store.schema_version:
-                        reply(
-                            {
-                                "type": "error",
-                                "detail": (
-                                    f"schema version mismatch: worker has "
-                                    f"{schema}, service store has "
-                                    f"{self.store.schema_version}"
-                                ),
-                            }
-                        )
+                    refusal = _hello_refusal(
+                        message, self.store.schema_version
+                    )
+                    if refusal is not None:
+                        reply({"type": "error", "detail": refusal})
                         await writer.drain()
                         break
                     worker_id = str(message.get("worker") or "anonymous")
@@ -494,13 +535,10 @@ class CampaignService:
                 elif worker_id is None:
                     reply({"type": "error", "detail": "hello required first"})
                 elif kind == "claim":
-                    lease = self.scheduler.claim(worker_id)
-                    if lease is not None:
-                        reply({"type": "lease", **lease})
-                    elif self._sealed and self.scheduler.is_drained():
-                        reply({"type": "done"})
-                    else:
-                        reply({"type": "idle", "retry_after_s": self.idle_retry_s})
+                    answer = await self._park_claim(worker_id, reader)
+                    if answer is None:
+                        break
+                    reply(answer)
                 elif kind == "heartbeat":
                     self.scheduler.heartbeat(worker_id, message.get("digest", ""))
                     continue  # deliberately unacknowledged
@@ -538,7 +576,7 @@ class CampaignService:
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # worker died mid-exchange; the finally block reclaims
         finally:
-            self._connections -= 1
+            self._handlers.discard(asyncio.current_task())
             if worker_id is not None:
                 requeued = self.scheduler.disconnect_worker(worker_id)
                 if requeued:
@@ -548,3 +586,20 @@ class CampaignService:
                 await writer.wait_closed()
             except (ConnectionError, OSError):  # pragma: no cover
                 pass
+
+
+def _hello_refusal(hello: dict, schema_version: int) -> Optional[str]:
+    """Why a worker's ``hello`` is refused, or ``None`` to welcome it."""
+    schema = hello.get("schema_version")
+    if schema != schema_version:
+        return (
+            f"schema version mismatch: worker has {schema}, "
+            f"service store has {schema_version}"
+        )
+    version = hello.get("protocol_version")
+    if version != protocol.PROTOCOL_VERSION:
+        return (
+            f"protocol version mismatch: worker speaks {version}, "
+            f"service speaks {protocol.PROTOCOL_VERSION}"
+        )
+    return None

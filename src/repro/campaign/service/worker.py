@@ -1,12 +1,13 @@
-"""The remote campaign worker: claim → execute → report, over TCP.
+"""The campaign worker: claim → execute → report, over TCP.
 
 ``repro campaign worker --connect HOST:PORT`` runs :func:`run_worker`,
 which connects a :class:`WorkerSession` to a campaign service and drains
-points until the service says ``done``.  Points execute through the exact
-same forked-worker / retry / timeout machinery a single-host campaign
-uses (:func:`~repro.campaign.service.executor.execute_point`), so the
-artifact a remote worker ships back is byte-identical to what the
-service's host would have written itself.
+points until the service says ``done``.  The service's own local slots
+are the same sessions on loopback connections.  Points execute through
+the exact same forked-worker / retry / timeout machinery a single-host
+campaign uses (:func:`~repro.campaign.service.executor.execute_point`),
+so the artifact a remote worker ships back is byte-identical to what
+the service's host would have written itself.
 
 While the main thread is blocked inside a point, a side thread heartbeats
 the lease so the scheduler knows the worker is alive (heartbeats are
@@ -22,7 +23,6 @@ from __future__ import annotations
 import os
 import socket
 import threading
-import time
 from typing import Optional
 
 from repro.campaign.service import protocol
@@ -54,9 +54,6 @@ class WorkerSession:
     max_points:
         Stop after executing this many points (``None`` = until drained);
         used by tests and batch-queue wrappers.
-    exit_when_done:
-        When ``False``, keep polling after a ``done`` — for workers that
-        outlive one campaign.  The default exits cleanly.
     """
 
     def __init__(
@@ -70,7 +67,6 @@ class WorkerSession:
         backoff_s: float = 0.25,
         timeout_s: Optional[float] = None,
         max_points: Optional[int] = None,
-        exit_when_done: bool = True,
     ) -> None:
         self.host = host
         self.port = port
@@ -80,7 +76,6 @@ class WorkerSession:
         self.backoff_s = backoff_s
         self.timeout_s = timeout_s
         self.max_points = max_points
-        self.exit_when_done = exit_when_done
         self.heartbeat_s = 5.0  # overwritten by the welcome message
         self.stats = {"claims": 0, "points_done": 0, "points_failed": 0}
         self._sock: Optional[socket.socket] = None
@@ -102,7 +97,11 @@ class WorkerSession:
 
     # -- session -----------------------------------------------------------------
     def run(self) -> dict:
-        """Drain points until done (or ``max_points``); returns stats."""
+        """Drain points until ``done`` (or ``max_points``); returns stats.
+
+        A claim with nothing pending parks on the service, so the session
+        blocks rather than polls while it waits for work.
+        """
         self._sock = socket.create_connection((self.host, self.port), timeout=30.0)
         self._sock.settimeout(None)
         self._fh = self._sock.makefile("rb")
@@ -129,17 +128,12 @@ class WorkerSession:
                 self._send({"type": "claim"})
                 reply = self._recv()
                 if reply["type"] == "done":
-                    if self.exit_when_done:
-                        break
-                    time.sleep(0.5)
-                elif reply["type"] == "idle":
-                    time.sleep(float(reply.get("retry_after_s", 0.5)))
-                elif reply["type"] == "lease":
-                    self._run_lease(reply)
-                else:
+                    break
+                if reply["type"] != "lease":
                     raise WorkerError(
                         f"unexpected claim reply {reply['type']!r}"
                     )
+                self._run_lease(reply)
             try:
                 self._send({"type": "bye"})
             except OSError:

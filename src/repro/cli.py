@@ -24,8 +24,8 @@ to make intent explicit (completed points are always skipped), ``status``
 renders the store manifest, ``clean`` drops failed entries (or, with
 ``--all``, the whole store) so they run again.  The distributed tier
 (:mod:`repro.campaign.service`): ``serve`` runs an experiment as a
-campaign *service* — an asyncio lease scheduler that local fork slots and
-remote machines drain cooperatively — ``worker --connect HOST:PORT``
+campaign *service* — an asyncio lease scheduler that local loopback slots
+and remote machines drain cooperatively — ``worker --connect HOST:PORT``
 attaches a network worker to one, ``watch --connect HOST:PORT`` streams
 its live status, and ``rebuild`` reconstructs a store manifest from the
 on-disk artifacts and journal after corruption or loss.
@@ -179,8 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="serve live JSON/SSE status here "
                              "(0 = ephemeral; omitted = no status endpoint)")
     cserve.add_argument("--local-workers", type=int, default=0,
-                        help="in-process fork-executor slots (default 0: "
-                             "remote workers do all the work)")
+                        help="in-process worker sessions on loopback "
+                             "connections (default 0: remote workers do "
+                             "all the work)")
     cserve.add_argument("--lease-ttl", type=float, default=15.0,
                         help="seconds a lease survives without a heartbeat "
                              "before its point is requeued (default 15)")
@@ -205,9 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per-point wall-clock budget")
     cworker.add_argument("--max-points", type=int, default=None,
                          help="exit after executing N points")
-    cworker.add_argument("--stay", action="store_true",
-                         help="keep polling after the campaign drains "
-                              "instead of exiting on `done`")
     cwatch = camp_sub.add_parser(
         "watch", help="stream a campaign service's live status"
     )
@@ -530,7 +528,6 @@ def _run_campaign_worker(args: argparse.Namespace) -> int:
         retries=args.retries,
         timeout_s=args.timeout,
         max_points=args.max_points,
-        exit_when_done=not args.stay,
     )
     print(
         f"worker drained: {stats['points_done']} point(s) done, "

@@ -265,20 +265,11 @@ class SimulationConfig:
                 "engine_vectorized builds on the fast path's activity "
                 "flags; it requires engine_fast_path=True"
             )
-        if self.engine_kernels:
-            if not self.engine_vectorized:
-                raise ConfigurationError(
-                    "engine_kernels batches over the vectorized engine's "
-                    "SoA arrays; it requires engine_vectorized=True"
-                )
-            try:
-                import numpy  # noqa: F401
-            except ImportError as exc:
-                raise ConfigurationError(
-                    "engine_kernels requires numpy (declared in "
-                    "pyproject.toml as numpy>=1.23); install it or drop "
-                    "the engine_kernels flag"
-                ) from exc
+        if self.engine_kernels and not self.engine_vectorized:
+            raise ConfigurationError(
+                "engine_kernels batches over the vectorized engine's "
+                "SoA arrays; it requires engine_vectorized=True"
+            )
         if self.engine_vectorized and (
             self.topology != "torus" or any(l != 1 for l in self.link_latencies)
         ):

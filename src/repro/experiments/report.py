@@ -30,7 +30,11 @@ __all__ = [
 
 
 def sweep_csv(result: ExperimentResult) -> str:
-    """All sweep rows of an experiment as CSV (one row per series x load)."""
+    """All sweep rows of an experiment as CSV (one row per series x load).
+
+    ``cycles_capped`` is 1 where the cycle census hit
+    ``max_cycles_counted``: that row's ``avg_cycles`` is a lower bound.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(
@@ -49,10 +53,11 @@ def sweep_csv(result: ExperimentResult) -> str:
             "blocked_pct",
             "in_network",
             "latency",
+            "cycles_capped",
         ]
     )
     for label, sweep in result.sweeps.items():
-        for row in sweep.rows():
+        for row, run in zip(sweep.rows(), sweep.results):
             writer.writerow(
                 [
                     result.experiment_id,
@@ -69,6 +74,7 @@ def sweep_csv(result: ExperimentResult) -> str:
                     f"{row['blocked_pct']:.3f}",
                     f"{row['in_network']:.3f}",
                     f"{row['latency']:.3f}",
+                    int(run.cycle_count_saturated),
                 ]
             )
     return buf.getvalue()

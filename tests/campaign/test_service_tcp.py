@@ -10,7 +10,9 @@ on real TCP connections; nothing is mocked.
 
 import os
 import pathlib
+import select
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -26,12 +28,14 @@ from repro.campaign.service import (
     ServiceRunner,
     WorkerError,
     WorkerSession,
+    protocol,
 )
 from repro.campaign.service.status import (
     fetch_status,
     iter_status_events,
     render_service_status,
 )
+from repro.campaign.store import SCHEMA_VERSION
 from repro.config import tiny_default
 from repro.metrics.sweep import run_load_sweep
 
@@ -83,6 +87,25 @@ def kill_worker(proc):
     except ProcessLookupError:
         pass
     proc.wait(timeout=10)
+
+
+def raw_hello(port, name, **overrides):
+    """A bare protocol connection: send ``hello``, return the reply too."""
+    sock = socket.create_connection(("127.0.0.1", port), timeout=10.0)
+    fh = sock.makefile("rb")
+    hello = {
+        "type": "hello",
+        "worker": name,
+        "schema_version": SCHEMA_VERSION,
+        "protocol_version": protocol.PROTOCOL_VERSION,
+        **overrides,
+    }
+    protocol.send_line(sock, hello)
+    return sock, fh, protocol.recv_line(fh)
+
+
+def has_reply(sock, within_s=0.3):
+    return bool(select.select([sock], [], [], within_s)[0])
 
 
 def wait_for(predicate, timeout_s=30.0, interval_s=0.05):
@@ -152,10 +175,92 @@ class TestDistributedDrain:
                     "127.0.0.1", svc.port, schema_version=999
                 ).run()
 
+    def test_protocol_version_mismatch_worker_is_refused(self, tmp_path):
+        with CampaignService(tmp_path / "store", local_workers=0) as svc:
+            sock, fh, reply = raw_hello(svc.port, "old", protocol_version=1)
+            with sock, fh:
+                assert reply["type"] == "error"
+                assert "protocol version mismatch" in reply["detail"]
+                assert protocol.recv_line(fh) is None  # and hung up
+            assert "old" not in svc.scheduler.workers
+
+    def test_local_slots_drain_bit_identically(self, tmp_path):
+        """``local_workers`` are loopback sessions on the same protocol."""
+        base = tiny_default(**FAST)
+        configs = [base.replace(load=load) for load in LOADS]
+        reference = reference_store(tmp_path, configs)
+        with CampaignService(tmp_path / "store", local_workers=2) as svc:
+            slots = list(svc._local)
+            out = ServiceRunner(svc).run_points(configs)
+            assert out["executed"] == 3 and not out["failures"]
+        assert not any(thread.is_alive() for thread in slots)
+        workers_used = {p.worker for p in svc.scheduler.points.values()}
+        assert workers_used <= {"local/0", "local/1"}
+        assert_bit_identical(svc.store, reference)
+
     def test_wait_for_never_submitted_point_raises(self, tmp_path):
         with CampaignService(tmp_path / "store", local_workers=0) as svc:
             with pytest.raises(ServiceError, match="never-submitted"):
                 svc.wait_points(["feedfacefeedfacefeedface"], timeout=5)
+
+
+class TestParkedClaims:
+    """A claim with nothing pending waits on the server; it never polls."""
+
+    def test_parked_claim_is_answered_by_lease_then_done(self, tmp_path):
+        config = tiny_default(**FAST)
+        with CampaignService(tmp_path / "store", local_workers=0) as svc:
+            sock, fh, welcome = raw_hello(svc.port, "w")
+            with sock, fh:
+                assert welcome["type"] == "welcome"
+                protocol.send_line(sock, {"type": "claim"})
+                assert not has_reply(sock)  # parked: nothing to lease
+                digest = svc.submit_points([config])["digests"][0]
+                lease = protocol.recv_line(fh)
+                assert lease["type"] == "lease" and lease["digest"] == digest
+                protocol.send_line(
+                    sock,
+                    {"type": "point-failed", "digest": digest,
+                     "error": "boom", "kind": "error", "attempts": 1},
+                )
+                assert protocol.recv_line(fh)["status"] == "failed"
+                protocol.send_line(sock, {"type": "claim"})
+                assert not has_reply(sock)  # drained, but not sealed yet
+                svc.seal()
+                assert protocol.recv_line(fh)["type"] == "done"
+            assert svc.scheduler.counters["leases_granted"] == 1
+
+    def test_worker_hanging_up_while_parked_gets_no_lease(self, tmp_path):
+        config = tiny_default(**FAST)
+        with CampaignService(tmp_path / "store", local_workers=0) as svc:
+            sock, fh, _ = raw_hello(svc.port, "gone")
+            protocol.send_line(sock, {"type": "claim"})
+            fh.close()
+            sock.close()
+            wait_for(
+                lambda: svc.status_snapshot()["service"]["connections"] == 0
+            )
+            digest = svc.submit_points([config])["digests"][0]
+            status = svc.status_snapshot()["scheduler"]
+            point = svc.scheduler.points[digest]
+            assert point.status == "pending" and point.lease_attempts == 0
+            assert status["leases"] == {} and "gone" not in status["workers"]
+            assert status["counters"]["worker_disconnects"] == 1
+
+    def test_stop_hangs_up_on_an_undrained_campaign(self, tmp_path):
+        config = tiny_default(**FAST)
+        svc = CampaignService(tmp_path / "store", local_workers=0).start()
+        svc.submit_points([config])
+        holder, holder_fh, _ = raw_hello(svc.port, "holder")
+        parked, parked_fh, _ = raw_hello(svc.port, "parked")
+        with holder, holder_fh, parked, parked_fh:
+            protocol.send_line(holder, {"type": "claim"})
+            assert protocol.recv_line(holder_fh)["type"] == "lease"
+            protocol.send_line(parked, {"type": "claim"})
+            assert not has_reply(parked)
+            svc.stop(grace_s=0.2)
+            assert protocol.recv_line(holder_fh) is None
+            assert protocol.recv_line(parked_fh) is None
 
 
 class TestStatusEndpoint:

@@ -5,13 +5,16 @@ import io
 
 import pytest
 
+from repro.config import tiny_default
 from repro.experiments import fig5
+from repro.experiments.base import ExperimentResult
 from repro.experiments.report import (
     ascii_chart,
     experiment_csv,
     render_figure,
     sweep_csv,
 )
+from repro.metrics.sweep import run_load_sweep
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +36,18 @@ class TestCSV:
             float(r["load"])
             float(r["norm_deadlocks"])
             int(r["deadlocks"])
+
+    def test_capped_census_rows_are_flagged_in_the_last_column(self):
+        base = tiny_default(
+            bidirectional=False, max_cycles_counted=2,
+            measure_cycles=600, warmup_cycles=100,
+        )
+        sweep = run_load_sweep(base, [0.1, 1.0], "s")
+        text = sweep_csv(ExperimentResult("FIGX", "d", {"s": sweep}))
+        header, *rows = list(csv.reader(io.StringIO(text)))
+        assert header[-1] == "cycles_capped"
+        assert [r.cycle_count_saturated for r in sweep.results] == [False, True]
+        assert [row[-1] for row in rows] == ["0", "1"]
 
     def test_experiment_csv_single_header(self, tiny_fig5):
         text = experiment_csv([tiny_fig5, tiny_fig5])

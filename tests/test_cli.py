@@ -72,13 +72,13 @@ class TestParser:
         args = build_parser().parse_args(
             [
                 "campaign", "worker", "--connect", "host-a:7000",
-                "--id", "rack3/w1", "--max-points", "10", "--stay",
+                "--id", "rack3/w1", "--max-points", "10",
             ]
         )
         assert args.campaign_command == "worker"
         assert args.connect == "host-a:7000"
         assert args.worker_id == "rack3/w1"
-        assert args.max_points == 10 and args.stay is True
+        assert args.max_points == 10
 
     def test_campaign_worker_requires_connect(self):
         with pytest.raises(SystemExit):
