@@ -62,6 +62,7 @@ def saturated_16ary_sim(engine_fast_path=True, warm=150):
         cwg_maintenance="incremental",
         count_cycles=False,
         engine_fast_path=engine_fast_path,
+        engine_vectorized=False,
     )
     sim = NetworkSimulator(cfg)
     for _ in range(warm):

@@ -216,7 +216,8 @@ def _detector_us_per_pass(engine_fast_path: bool) -> float:
 
     With the fast path, passes where the blocked epoch did not advance are
     short-circuited — the number reported is the realized average, which is
-    what a sweep actually pays.
+    what a sweep actually pays.  The fast side is the scalar fast path
+    (``engine_vectorized=False``), the engine this record was taken on.
     """
     cfg = paper_default(
         warmup_cycles=0,
@@ -228,6 +229,7 @@ def _detector_us_per_pass(engine_fast_path: bool) -> float:
         cwg_maintenance="incremental",
         count_cycles=False,
         engine_fast_path=engine_fast_path,
+        engine_vectorized=False,
         validation_level=0,
     )
     sim = NetworkSimulator(cfg)

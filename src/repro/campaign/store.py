@@ -91,6 +91,15 @@ _FLAT_TUPLE_FIELDS = ("dims", "link_latencies")
 #: actually exercise the new knobs get distinct digests.
 _ELIDE_AT_DEFAULT = (("topology", "torus"), ("dims", ()), ("link_latencies", ()))
 
+#: engine-tier flags hashed at these fixed values (their defaults before
+#: the vectorized engine became the default).  Every tier is bit-identical,
+#: so the flags never change a point's result: any tier resumes any tier's
+#: store, and digests written under the old defaults stay valid.  The
+#: artifact itself still records the flags that ran.
+_DIGEST_ENGINE_FLAGS = dict(
+    engine_fast_path=True, engine_vectorized=False, engine_kernels=False
+)
+
 
 class StoreSchemaError(ReproError):
     """A store artifact/manifest was written under a different schema."""
@@ -177,11 +186,16 @@ def config_digest(
 
     Canonical JSON (sorted keys, no whitespace) over every config field
     plus the schema version; the seed is a config field, so it is part of
-    the key.  Stable across processes and sessions — ``PYTHONHASHSEED``
-    does not enter.
+    the key.  The engine-tier flags enter at fixed values
+    (``_DIGEST_ENGINE_FLAGS``), so the digest names a point's result, not
+    the engine that computed it.  Stable across processes and sessions —
+    ``PYTHONHASHSEED`` does not enter.
     """
     payload = json.dumps(
-        {"schema_version": schema_version, "config": config_to_json(config)},
+        {
+            "schema_version": schema_version,
+            "config": {**config_to_json(config), **_DIGEST_ENGINE_FLAGS},
+        },
         sort_keys=True,
         separators=(",", ":"),
     )

@@ -104,28 +104,30 @@ class SimulationConfig:
     #: definition at each detection, before recovery acts on it.
     validation_level: int = 0
     validation_interval: int = 100  #: sampling period for validation_level=1
+    # -- engine tier: three flags, one dispatch rule (see engine_tier) ---------
     #: incremental activity tracking in the engine hot path plus detection
     #: short-circuiting.  Bit-identical to the legacy full-rescan path (same
-    #: seed -> same RunResult); off selects the legacy path for A/B tests.
+    #: seed -> same RunResult); off selects the legacy engine for A/B tests,
+    #: whatever the other two flags say.
     engine_fast_path: bool = True
     #: vectorized structure-of-arrays engine core
     #: (:class:`repro.network.vectorized.VectorizedEngine`): index-mapped
-    #: numpy/array mirrors of channel and message state, precomputed batch
-    #: candidate tables, and an inline C-backed arbitration stream.  Builds
-    #: on the fast path's activity flags, so it requires
-    #: ``engine_fast_path=True``.  Bit-identical to both other engines
-    #: (same seed -> same RunResult and deadlock-event stream); off selects
-    #: the object-model engines for A/B/C tests.
-    engine_vectorized: bool = False
+    #: list mirrors of channel and message state, precomputed batch
+    #: candidate tables, and an inline C-backed arbitration stream; no
+    #: numpy.  The default for every unit-latency 'torus'-family config;
+    #: zoo topologies and non-unit ``link_latencies`` run on the scalar fast
+    #: path instead.  Bit-identical to the other engines (same seed -> same
+    #: RunResult and deadlock-event stream); off selects the scalar fast
+    #: path for A/B/C tests.
+    engine_vectorized: bool = True
     #: NumPy array-kernel engine tier
-    #: (:class:`repro.network.kernels.KernelEngine`): batch head-of-line
-    #: eligibility, free-slot availability and phase order construction as
-    #: masked array ops over the SoA mirrors, with a word-buffered traffic
-    #: stream for the generate phase.  Builds on the vectorized engine's
-    #: SoA state, so it requires ``engine_vectorized=True`` (and numpy).
-    #: Bit-identical to the other three engines (same seed -> same
-    #: RunResult and deadlock-event stream); off selects the vectorized
-    #: engine for A/B/C/D tests.
+    #: (:class:`repro.network.kernels.KernelEngine`, opt-in): batch
+    #: head-of-line eligibility, free-slot availability and phase order
+    #: construction as masked array ops over numpy-backed SoA mirrors,
+    #: with a word-buffered traffic stream for the generate phase.  Takes
+    #: precedence over ``engine_vectorized`` on the configs the SoA tiers
+    #: run.  Bit-identical to the other three engines (same seed -> same
+    #: RunResult and deadlock-event stream).
     engine_kernels: bool = False
     #: observability (:mod:`repro.obs`): 0 = off (the default — instrumented
     #: call sites cost one attribute lookup against a no-op singleton),
@@ -260,25 +262,6 @@ class SimulationConfig:
             raise ConfigurationError(
                 f"obs_trace_capacity must be >= 1, got {self.obs_trace_capacity}"
             )
-        if self.engine_vectorized and not self.engine_fast_path:
-            raise ConfigurationError(
-                "engine_vectorized builds on the fast path's activity "
-                "flags; it requires engine_fast_path=True"
-            )
-        if self.engine_kernels and not self.engine_vectorized:
-            raise ConfigurationError(
-                "engine_kernels batches over the vectorized engine's "
-                "SoA arrays; it requires engine_vectorized=True"
-            )
-        if self.engine_vectorized and (
-            self.topology != "torus" or any(l != 1 for l in self.link_latencies)
-        ):
-            raise ConfigurationError(
-                "the vectorized/kernel engine tiers currently support "
-                "unit-latency k-ary n-cube ('torus' family) configs only; "
-                "run topology-zoo or heterogeneous-latency configs on the "
-                "legacy or fast-path engine (engine_vectorized=False)"
-            )
         if self.mesh and not self.bidirectional:
             raise ConfigurationError("meshes are always bidirectional")
         if self.mesh and self.failed_links:
@@ -313,6 +296,27 @@ class SimulationConfig:
                 raise ConfigurationError(
                     f"invalid length_mix entry ({length}, {weight})"
                 )
+
+    @property
+    def engine_tier(self) -> str:
+        """The engine the three flags select.
+
+        ``"legacy"`` whenever ``engine_fast_path`` is off.  The SoA tiers
+        run unit-latency 'torus'-family configs only, so zoo topologies and
+        non-unit ``link_latencies`` get ``"fast"`` (the scalar fast path).
+        Otherwise ``"kernels"`` if ``engine_kernels``, else ``"vectorized"``
+        if ``engine_vectorized``, else ``"fast"``.  No combination of flags
+        is an error: every tier is bit-identical to legacy.
+        """
+        if not self.engine_fast_path:
+            return "legacy"
+        if self.topology != "torus" or any(l != 1 for l in self.link_latencies):
+            return "fast"
+        if self.engine_kernels:
+            return "kernels"
+        if self.engine_vectorized:
+            return "vectorized"
+        return "fast"
 
     def replace(self, **changes) -> "SimulationConfig":
         """A copy of this config with the given fields replaced."""

@@ -183,9 +183,11 @@ class ChannelPool:
         """Index-mapped numpy views of the immutable per-VC attributes.
 
         One row per global VC index: ``capacity``, ``link_index``, ``src``,
-        ``dst`` and ``dim`` — the structural columns the vectorized engine's
-        candidate tables and the SoA state mirrors are built over.  Computed
-        on first use and cached (the pool's structure never changes).
+        ``dst`` and ``dim`` — the structural columns exported next to the
+        SoA state mirrors by :meth:`~repro.network.soa.SoAState.as_arrays`
+        (the engines read the VC objects themselves).  Computed, and numpy
+        imported, on first use and cached (the pool's structure never
+        changes).
         """
         if self._static_arrays is None:
             import numpy as np

@@ -1,10 +1,11 @@
 """The NumPy array-kernel engine tier.
 
 :class:`KernelEngine` is the fourth engine variant
-(``config.engine_kernels``, requires ``engine_vectorized``).  Where the
-vectorized engine still *walks* every queue and every active message per
-cycle in Python to build phase orders and skip parked work, this tier
-derives those decisions from the SoA mirrors with masked array kernels:
+(``config.engine_kernels``, opt-in; see ``SimulationConfig.engine_tier``).
+Where the vectorized engine still *walks* every queue and every active
+message per cycle in Python to build phase orders and skip parked work,
+this tier derives those decisions from numpy-backed SoA mirrors
+(:class:`_ArraySoAState`) with masked array kernels:
 
 * **request construction** — the allocate-phase request list is a cached
   queue-head list (maintained ``head_slot`` array, node order, rebuilt
@@ -53,10 +54,11 @@ from bisect import bisect_left
 import numpy as np
 
 from repro.config import SimulationConfig
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.faults import active_faults
 from repro.network.message import Message, MessageStatus
 from repro.network.simulator import _PHASE_ALLOC, _PHASE_MOVE
+from repro.network.soa import SoAState
 from repro.network.vectorized import _NO_QLENS, VectorizedEngine, _by_index
 from repro.traffic.injection import MessageGenerator
 from repro.traffic.lengths import FixedLength
@@ -208,16 +210,29 @@ class _TrafficStream:
         return seq[self._randbelow(len(seq))]
 
 
+class _ArraySoAState(SoAState):
+    """SoA mirrors whose per-VC, per-reception and per-message columns are
+    numpy arrays, for the masked gathers of this tier (``routable[acts]``,
+    ``stalled[req] == 0``, ``argsort(msg_id[slots])``)."""
+
+    @staticmethod
+    def _column(n: int, fill: int, dtype: str) -> np.ndarray:
+        return np.full(n, fill, dtype=dtype)
+
+    @staticmethod
+    def _extended(column: np.ndarray, n: int, fill: int) -> np.ndarray:
+        out = np.full(n, fill, dtype=column.dtype)
+        out[: len(column)] = column
+        return out
+
+
 class KernelEngine(VectorizedEngine):
     """Masked-batch engine over SoA state; see the module docstring."""
 
+    soa_class = _ArraySoAState
+
     def __init__(self, config: SimulationConfig, trace=None) -> None:
         super().__init__(config, trace)
-        if not config.engine_kernels or not config.engine_vectorized:
-            raise ConfigurationError(
-                "KernelEngine requires engine_kernels=True and "
-                "engine_vectorized=True"
-            )
         n = self.topology.num_nodes
         self._num_nodes = n
         #: slot of each source queue's head iff that head is QUEUED, else -1

@@ -126,23 +126,28 @@ class NetworkSimulator:
     paper's "program-driven simulation" extension); ``config.load`` and
     ``config.traffic`` are then ignored.
 
-    With ``config.engine_vectorized`` construction dispatches to
-    :class:`~repro.network.vectorized.VectorizedEngine` (a subclass
-    working over structure-of-arrays state mirrors), so call sites keep
-    instantiating ``NetworkSimulator`` regardless of engine choice.  All
-    three engine variants are bit-identical given the same seed.
+    Construction dispatches on
+    :attr:`~repro.config.SimulationConfig.engine_tier`: ``"vectorized"``
+    (the default on 'torus'-family configs) builds a
+    :class:`~repro.network.vectorized.VectorizedEngine` and ``"kernels"``
+    a :class:`~repro.network.kernels.KernelEngine` (subclasses working over
+    structure-of-arrays state mirrors); ``"fast"`` and ``"legacy"`` build
+    this class.  Call sites keep instantiating ``NetworkSimulator``
+    regardless of engine choice.  All four engines are bit-identical given
+    the same seed.
     """
 
     def __new__(cls, config: SimulationConfig = None, trace=None):
-        if cls is NetworkSimulator:
-            if getattr(config, "engine_kernels", False):
-                from repro.network.kernels import KernelEngine
-
-                return object.__new__(KernelEngine)
-            if getattr(config, "engine_vectorized", False):
+        if cls is NetworkSimulator and config is not None:
+            tier = config.engine_tier
+            if tier == "vectorized":
                 from repro.network.vectorized import VectorizedEngine
 
                 return object.__new__(VectorizedEngine)
+            if tier == "kernels":
+                from repro.network.kernels import KernelEngine
+
+                return object.__new__(KernelEngine)
         return object.__new__(cls)
 
     def __init__(self, config: SimulationConfig, trace=None) -> None:
@@ -956,3 +961,9 @@ class NetworkSimulator:
                 raise SimulationError(
                     f"waiting set retains non-active message {mid}"
                 )
+
+
+# Load the default engine with the simulator: forked campaign and service
+# workers then inherit it instead of importing it once per point.  At the
+# end of the module because vectorized.py subclasses NetworkSimulator.
+import repro.network.vectorized  # noqa: E402,F401

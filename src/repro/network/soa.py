@@ -20,20 +20,26 @@ rather than shifting rows, so ``Message.slot`` stays stable for a
 message's whole lifetime.  The table grows geometrically.
 
 The mirrors are *push*-maintained: the engine updates them inline at every
-state transition (the columns for the highest-frequency counters are plain
-Python lists, which take scalar stores ~3x faster than numpy arrays; the
-transition-level columns are numpy arrays directly).  :meth:`as_arrays`
-exposes everything uniformly as numpy arrays, and :meth:`verify`
-cross-checks every mirror against the object model — randomized property
-tests (``tests/properties/test_soa_mirrors.py``) and
-``check_invariants`` runs drive it.
+state transition.  Every column is a plain Python list: the engine reads
+and writes them one element at a time, and a list takes a scalar store in
+~20 ns against 68-95 ns for a numpy array (CPython 3.11, Xeon).  Lists
+also keep numpy out of the default engine's processes, where its import
+costs 0.10-0.13 s and ~13 MB (see docs/PERFORMANCE.md).
+:meth:`as_arrays` exports everything uniformly as numpy arrays (numpy is
+imported there, on first use), and :meth:`verify` cross-checks every
+mirror against the object model — randomized property tests
+(``tests/properties/test_soa_mirrors.py``) and ``check_invariants`` runs
+drive it.
+
+Subclasses may back the per-VC, per-reception and per-message columns
+with other sequence types by overriding :meth:`SoAState._column` and
+:meth:`SoAState._extended`; the kernel tier (:mod:`repro.network.kernels`)
+backs them with numpy arrays for its masked gathers.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
-
-import numpy as np
 
 from repro.errors import SimulationError
 
@@ -46,6 +52,19 @@ __all__ = ["SoAState"]
 
 _GROW = 2  # geometric slot-table growth factor
 
+#: per-message slot-table columns: (name, fill of a free slot, export dtype)
+_SLOT_COLUMNS = (
+    ("msg_id", -1, "int64"),
+    ("length", 0, "int32"),
+    ("head_vc", -1, "int32"),
+    ("tail_vc", -1, "int32"),
+    ("routable", 0, "uint8"),
+    ("stalled", 0, "uint8"),
+    ("immobile", 0, "uint8"),
+    ("blocked", 0, "uint8"),
+    ("live", 0, "uint8"),
+)
+
 
 class SoAState:
     """Index-mapped array mirrors of channels, receptions and messages."""
@@ -54,25 +73,16 @@ class SoAState:
         self.pool = pool
         num_vcs = len(pool.vcs)
         self.rx_channels = pool.rx_channels
-        # -- per-VC columns (owner transitions are numpy; the occupancy
-        # counter mutates on every flit hop, so it stays a Python list) --
-        self.vc_owner = np.full(num_vcs, -1, dtype=np.int64)
+        # -- per-VC columns ------------------------------------------------
+        self.vc_owner = self._column(num_vcs, -1, "int64")
         self.vc_occupancy: list[int] = [0] * num_vcs
-        self.static = pool.static_arrays()
         # -- per-reception-channel column ---------------------------------
         num_rx = len(pool.reception_groups) * pool.rx_channels
-        self.rx_owner = np.full(num_rx, -1, dtype=np.int64)
+        self.rx_owner = self._column(num_rx, -1, "int64")
         # -- per-message slot table ---------------------------------------
         n = max(capacity, 16)
-        self.msg_id = np.full(n, -1, dtype=np.int64)
-        self.length = np.zeros(n, dtype=np.int32)
-        self.head_vc = np.full(n, -1, dtype=np.int32)
-        self.tail_vc = np.full(n, -1, dtype=np.int32)
-        self.routable = np.zeros(n, dtype=np.uint8)
-        self.stalled = np.zeros(n, dtype=np.uint8)
-        self.immobile = np.zeros(n, dtype=np.uint8)
-        self.blocked = np.zeros(n, dtype=np.uint8)
-        self.live = np.zeros(n, dtype=np.uint8)
+        for name, fill, dtype in _SLOT_COLUMNS:
+            setattr(self, name, self._column(n, fill, dtype))
         self.at_source: list[int] = [0] * n
         self.ejected: list[int] = [0] * n
         self.slot_msgs: list[Optional["Message"]] = [None] * n
@@ -81,24 +91,23 @@ class SoAState:
         self.high_water = 0  #: max simultaneously-live slots
 
     # -- slot allocation ------------------------------------------------------------
+    @staticmethod
+    def _column(n: int, fill: int, dtype: str) -> list:
+        """A fresh ``n``-long column holding ``fill`` (``dtype`` is the
+        numpy type :meth:`as_arrays` exports it as)."""
+        return [fill] * n
+
+    @staticmethod
+    def _extended(column: list, n: int, fill: int) -> list:
+        """``column`` grown to ``n`` entries, the new ones ``fill``."""
+        column.extend([fill] * (n - len(column)))
+        return column
+
     def _grow(self) -> None:
         old = len(self.slot_msgs)
         new = old * _GROW
-
-        def ext(arr, fill):
-            out = np.full(new, fill, dtype=arr.dtype)
-            out[:old] = arr
-            return out
-
-        self.msg_id = ext(self.msg_id, -1)
-        self.length = ext(self.length, 0)
-        self.head_vc = ext(self.head_vc, -1)
-        self.tail_vc = ext(self.tail_vc, -1)
-        self.routable = ext(self.routable, 0)
-        self.stalled = ext(self.stalled, 0)
-        self.immobile = ext(self.immobile, 0)
-        self.blocked = ext(self.blocked, 0)
-        self.live = ext(self.live, 0)
+        for name, fill, _dtype in _SLOT_COLUMNS:
+            setattr(self, name, self._extended(getattr(self, name), new, fill))
         self.at_source.extend([0] * (new - old))
         self.ejected.extend([0] * (new - old))
         self.slot_msgs.extend([None] * (new - old))
@@ -200,25 +209,25 @@ class SoAState:
         return node * self.rx_channels + index
 
     # -- uniform numpy views ----------------------------------------------------------
-    def as_arrays(self) -> dict[str, np.ndarray]:
-        """Every mirror as a numpy array (list-backed columns are copied)."""
-        return {
-            "vc_owner": self.vc_owner,
+    def as_arrays(self) -> dict:
+        """Every mirror as a numpy array.
+
+        List-backed columns are copied; a column already held as a numpy
+        array of the export dtype is returned as is (a view of the state).
+        """
+        import numpy as np
+
+        out = {
+            "vc_owner": np.asarray(self.vc_owner, dtype=np.int64),
             "vc_occupancy": np.array(self.vc_occupancy, dtype=np.int32),
-            "vc_capacity": self.static["capacity"],
-            "rx_owner": self.rx_owner,
-            "msg_id": self.msg_id,
-            "length": self.length,
+            "vc_capacity": self.pool.static_arrays()["capacity"],
+            "rx_owner": np.asarray(self.rx_owner, dtype=np.int64),
             "at_source": np.array(self.at_source, dtype=np.int32),
             "ejected": np.array(self.ejected, dtype=np.int32),
-            "head_vc": self.head_vc,
-            "tail_vc": self.tail_vc,
-            "routable": self.routable,
-            "stalled": self.stalled,
-            "immobile": self.immobile,
-            "blocked": self.blocked,
-            "live": self.live,
         }
+        for name, _fill, dtype in _SLOT_COLUMNS:
+            out[name] = np.asarray(getattr(self, name), dtype=dtype)
+        return out
 
     # -- cross-checks ------------------------------------------------------------------
     def verify(self, sim: "NetworkSimulator") -> None:

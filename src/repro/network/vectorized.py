@@ -6,9 +6,12 @@ structure-of-arrays state (:class:`~repro.network.soa.SoAState`),
 precomputed batch candidate tables
 (:class:`~repro.routing.batch.CandidateTable`) and an inline arbitration
 stream that drives the C-backed ``Random.getrandbits`` directly.  It is
-selected by ``config.engine_vectorized`` (dispatched inside
-``NetworkSimulator.__new__``, so call sites construct
-:class:`~repro.network.simulator.NetworkSimulator` as always).
+the default engine: ``config.engine_tier`` selects it for every
+unit-latency 'torus'-family config with ``engine_vectorized`` on (the
+default), dispatched inside ``NetworkSimulator.__new__``, so call sites
+construct :class:`~repro.network.simulator.NetworkSimulator` as always.
+It imports no numpy, and ``repro.network.simulator`` imports it at load
+time, so forked campaign workers inherit it.
 
 **Bit-identical by construction.**  Every RNG draw, service order,
 tie-break, wake transition and detector interleaving matches the other
@@ -54,7 +57,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.config import SimulationConfig
-from repro.errors import ConfigurationError
 from repro.network.message import Message, MessageStatus
 from repro.network.simulator import (
     _PHASE_ALLOC,
@@ -78,13 +80,12 @@ _NO_QLENS: list[int] = []
 class VectorizedEngine(NetworkSimulator):
     """Structure-of-arrays engine; see the module docstring."""
 
+    #: the state-mirror class (the kernel tier swaps in numpy columns)
+    soa_class = SoAState
+
     def __init__(self, config: SimulationConfig, trace=None) -> None:
         super().__init__(config, trace)
-        if not self.fast_path:
-            raise ConfigurationError(
-                "VectorizedEngine requires engine_fast_path=True"
-            )
-        self.soa = SoAState(self.pool)
+        self.soa = self.soa_class(self.pool)
         self._cands = CandidateTable(self.routing, self.topology, self.pool)
         self._vc_dim = self._cands.vc_dim
         self._arb_random = config.arbitration == "random"

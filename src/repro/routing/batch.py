@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.network.channels import ChannelPool
     from repro.network.message import Message
@@ -70,13 +68,16 @@ class CandidateTable:
             self._table[key] = entry
         return entry
 
-    def as_index_matrix(self) -> tuple[list, np.ndarray]:
-        """The built table as ``(keys, padded index matrix)``.
+    def as_index_matrix(self) -> tuple:
+        """The built table as ``(keys, padded numpy index matrix)``.
 
         Row *i* lists the candidate VC indices of ``keys[i]``, right-padded
         with -1.  Offline analysis / observability export; the serve loop
-        never touches it.
+        never touches it, so numpy is imported here rather than with the
+        engine.
         """
+        import numpy as np
+
         keys = list(self._table)
         width = max(
             (len(self._table[k][1]) for k in keys), default=0

@@ -694,9 +694,10 @@ def load_witness(path: Path | str) -> dict:
 #: here against recorded oracle truth.  (The vectorized/kernel tiers
 #: reproduce raw RNG word streams inline and cannot follow a scripted
 #: choice stream; their equivalence is covered by the differential
-#: fuzzer.)
+#: fuzzer, and ``engine_vectorized=False`` keeps the default SoA tier off.)
 _PRODUCTION_OVERRIDES = dict(
     engine_fast_path=True,
+    engine_vectorized=False,
     cwg_maintenance="incremental",
     detector_caching=True,
 )

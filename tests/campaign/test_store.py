@@ -15,7 +15,7 @@ from repro.campaign.store import (
     result_from_json,
     result_to_json,
 )
-from repro.config import tiny_default
+from repro.config import bench_default, tiny_default
 from repro.network.simulator import NetworkSimulator
 
 FAST = dict(measure_cycles=300, warmup_cycles=50)
@@ -34,6 +34,26 @@ class TestDigest:
     def test_schema_version_keys_the_digest(self):
         cfg = tiny_default(**FAST)
         assert config_digest(cfg, 1) != config_digest(cfg, 2)
+
+    def test_default_digests_are_pinned(self):
+        # the digests these default configs had before the vectorized
+        # engine became the default: stores written then still resume
+        assert config_digest(tiny_default()) == "90949b61107460f2ef9a510d"
+        assert config_digest(bench_default()) == "ea3bcc3c67536af385fe201f"
+
+    def test_engine_tier_flags_do_not_key_the_digest(self):
+        cfg = tiny_default(**FAST)
+        tiers = [
+            cfg.replace(engine_fast_path=fast, engine_vectorized=vec,
+                        engine_kernels=kern)
+            for fast in (True, False)
+            for vec in (True, False)
+            for kern in (True, False)
+        ]
+        assert len({config_digest(c) for c in tiers}) == 1
+        # the artifact form still records the flags that ran
+        assert config_to_json(cfg)["engine_vectorized"] is True
+        assert config_to_json(tiers[-1])["engine_vectorized"] is False
 
     def test_digest_is_hex_prefix(self):
         digest = config_digest(tiny_default(**FAST))

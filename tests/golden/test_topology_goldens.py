@@ -5,9 +5,9 @@ torus3d with a slow TSV dimension, mesh3d, dragonfly under minimal
 routing, full mesh under 2-hop misrouting — digested exactly like the
 k-ary n-cube goldens in :mod:`tests.golden.test_golden_traces` and
 compared against ``topology_golden_digests.json``.  The zoo runs on the
-legacy/fast-path engines only (the vectorized tiers are config-gated),
-so there are no per-engine variants here; the fast path IS the default
-engine and is what these digests pin.
+legacy/fast-path engines only (the engine dispatch sends zoo configs to
+the scalar fast path whatever the tier flags say), so there are no
+per-engine variants here; the fast path is what these digests pin.
 
 Re-bless after an intentional, reviewed semantic change with:
 

@@ -10,9 +10,9 @@ seed, the legacy, fast-path and vectorized engines must produce the
 **same** :class:`RunResult` fields and the **same** sequence of
 :class:`DeadlockEvent`\\ s.
 
-Every case runs the identical configuration three times — legacy, fast
-path, vectorized — and compares everything except the config object
-itself.  Cases cover the
+Every case runs the identical configuration four times — legacy, fast
+path, vectorized, kernels — and compares everything except the config
+object itself.  Cases cover the
 matrix the engine branches on: DOR/TFAR (plus the misrouting variant whose
 candidate sets change as a blocked message's tail drains), uni- and
 bidirectional tori, 1–4 VCs, wormhole and virtual cut-through switching,
@@ -209,45 +209,101 @@ def test_fast_path_is_default():
     assert sim.fast_path is True
 
 
-def test_vectorized_is_opt_in():
-    """The vectorized core is flag-gated and dispatched transparently."""
+def test_vectorized_is_default():
+    """The vectorized core is the default engine, dispatched transparently;
+    ``engine_vectorized=False`` selects the scalar fast path."""
     from repro.network.vectorized import VectorizedEngine
 
     cfg = tiny_default()
-    assert cfg.engine_vectorized is False
-    assert type(NetworkSimulator(cfg)) is NetworkSimulator
-
-    vec = NetworkSimulator(cfg.replace(engine_vectorized=True))
+    assert cfg.engine_vectorized is True
+    assert cfg.engine_tier == "vectorized"
+    vec = NetworkSimulator(cfg)
     assert type(vec) is VectorizedEngine
     assert isinstance(vec, NetworkSimulator)
 
+    scalar = NetworkSimulator(cfg.replace(engine_vectorized=False))
+    assert type(scalar) is NetworkSimulator
+    assert scalar.fast_path is True
 
-def test_vectorized_requires_fast_path():
-    from repro.errors import ConfigurationError
 
-    cfg = tiny_default(engine_vectorized=True, engine_fast_path=False)
-    with pytest.raises(ConfigurationError):
-        NetworkSimulator(cfg)
+def test_fast_path_off_dispatches_to_legacy():
+    """``engine_fast_path=False`` means legacy whatever the tier flags say."""
+    for flags in (
+        dict(engine_vectorized=True),
+        dict(engine_vectorized=False, engine_kernels=True),
+        dict(engine_vectorized=True, engine_kernels=True),
+    ):
+        cfg = tiny_default(engine_fast_path=False, **flags)
+        assert cfg.engine_tier == "legacy"
+        sim = NetworkSimulator(cfg)
+        assert type(sim) is NetworkSimulator
+        assert sim.fast_path is False
 
 
 def test_kernels_is_opt_in():
-    """The kernel tier is flag-gated and dispatched transparently."""
+    """The kernel tier is flag-gated and dispatched transparently; it takes
+    precedence over the vectorized flag."""
     from repro.network.kernels import KernelEngine
     from repro.network.vectorized import VectorizedEngine
 
     cfg = tiny_default()
     assert cfg.engine_kernels is False
 
-    kern = NetworkSimulator(
-        cfg.replace(engine_vectorized=True, engine_kernels=True)
+    for vectorized in (True, False):
+        kern = NetworkSimulator(
+            cfg.replace(engine_vectorized=vectorized, engine_kernels=True)
+        )
+        assert type(kern) is KernelEngine
+        assert isinstance(kern, VectorizedEngine)
+
+
+def test_zoo_topology_dispatches_to_scalar_fast_path():
+    """The SoA tiers run unit-latency 'torus'-family configs only: a zoo
+    topology or non-unit link latency gets the scalar fast path, with any
+    tier flags and no error."""
+    dragonfly = tiny_default(topology="dragonfly", dims=(2, 1, 1), routing="df-min")
+    assert dragonfly.engine_vectorized is True  # the default flags
+    latency = tiny_default(link_latencies=(1, 2))
+    for cfg in (
+        dragonfly,
+        dragonfly.replace(engine_kernels=True),
+        latency,
+        latency.replace(engine_kernels=True),
+    ):
+        assert cfg.engine_tier == "fast"
+        sim = NetworkSimulator(cfg)
+        assert type(sim) is NetworkSimulator
+        assert sim.fast_path is True
+        sim.run()
+
+
+#: two 16-ary points of ``scripts/paper_scale_spot_checks.py`` (POINTS),
+#: run with short warm-up/measure windows: the default engine against
+#: legacy at the paper's own scale, census on
+PAPER_SCALE_POINTS = {
+    "FIG5 uni DOR1 L=0.6": dict(
+        routing="dor", num_vcs=1, load=0.6, bidirectional=False
+    ),
+    "FIG7 TFAR2 L=1.0": dict(routing="tfar", num_vcs=2, load=1.0),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("point", sorted(PAPER_SCALE_POINTS))
+def test_default_engine_matches_legacy_at_paper_scale(point):
+    from repro.config import paper_default
+
+    cfg = paper_default(
+        warmup_cycles=300, measure_cycles=1200, seed=1,
+        **PAPER_SCALE_POINTS[point],
     )
-    assert type(kern) is KernelEngine
-    assert isinstance(kern, VectorizedEngine)
-
-
-def test_kernels_requires_vectorized():
-    from repro.errors import ConfigurationError
-
-    cfg = tiny_default(engine_kernels=True, engine_vectorized=False)
-    with pytest.raises(ConfigurationError):
-        NetworkSimulator(cfg)
+    assert cfg.count_cycles
+    assert cfg.engine_tier == "vectorized"
+    runs = {}
+    for name, flags in (("default", {}), ("legacy", ENGINES["legacy"])):
+        sim = NetworkSimulator(cfg.replace(**flags))
+        runs[name] = (sim, sim.run())
+    (sim, result), (legacy_sim, legacy_result) = runs["default"], runs["legacy"]
+    assert _result_fields(result) == _result_fields(legacy_result)
+    assert _event_keys(sim) == _event_keys(legacy_sim)
+    assert legacy_result.delivered > 0 and legacy_result.avg_cycle_count > 0

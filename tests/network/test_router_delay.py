@@ -6,10 +6,15 @@ from repro.config import tiny_default
 from repro.network.message import Message, MessageStatus
 from repro.network.simulator import NetworkSimulator
 
+#: hand-injected messages (``sim.queues[src].append``) bypass the generate
+#: phase, where the SoA engines give each message its state slot, so the
+#: tests that inject drive the scalar fast path
+SCALAR = dict(engine_vectorized=False)
+
 
 def transit_latency(router_delay, src=0, dest=10, length=4):
     cfg = tiny_default(load=0.0, routing="dor", router_delay=router_delay,
-                       check_invariants=True)
+                       check_invariants=True, **SCALAR)
     sim = NetworkSimulator(cfg)
     m = Message(0, src, dest, length, created_cycle=0)
     sim.queues[src].append(m)
@@ -49,7 +54,7 @@ def test_delay_scales_roughly_linearly():
 
 def test_pipeline_waiting_header_is_not_blocked():
     """A header inside the router pipeline must not appear in the CWG."""
-    cfg = tiny_default(load=0.0, routing="dor", router_delay=50)
+    cfg = tiny_default(load=0.0, routing="dor", router_delay=50, **SCALAR)
     sim = NetworkSimulator(cfg)
     m = Message(0, 0, 2, 4, created_cycle=0)
     sim.queues[0].append(m)

@@ -4,6 +4,11 @@ from repro.config import tiny_default
 from repro.network.message import Message
 from repro.network.simulator import NetworkSimulator
 
+#: hand-injected messages (``sim.queues[src].append``) bypass the generate
+#: phase, where the SoA engines give each message its state slot, so the
+#: tests that inject drive the scalar fast path
+SCALAR = dict(engine_vectorized=False)
+
 
 def test_run_to_drain_with_bernoulli_source_stops_at_cap():
     """The Bernoulli generator never exhausts; the cap bounds the run."""
@@ -46,7 +51,7 @@ def test_empty_network_detection_is_cheap_and_clean():
 def test_message_to_adjacent_node_wraparound_both_ways():
     """Shortest wrap in either direction delivers."""
     for src, dest in ((0, 3), (3, 0)):
-        cfg = tiny_default(load=0.0, routing="dor")
+        cfg = tiny_default(load=0.0, routing="dor", **SCALAR)
         sim = NetworkSimulator(cfg)
         m = Message(0, src, dest, 4, created_cycle=0)
         sim.queues[src].append(m)

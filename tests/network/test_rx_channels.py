@@ -9,6 +9,11 @@ from repro.network.message import Message, MessageStatus
 from repro.network.simulator import NetworkSimulator
 from repro.network.topology import KAryNCube
 
+#: hand-injected messages (``sim.queues[src].append``) bypass the generate
+#: phase, where the SoA engines give each message its state slot, so the
+#: tests that inject drive the scalar fast path
+SCALAR = dict(engine_vectorized=False)
+
 
 class TestPool:
     def test_groups_created(self):
@@ -35,7 +40,7 @@ class TestConcurrentEjection:
     def _race(self, rx_channels):
         """Two messages arrive at the same destination simultaneously."""
         cfg = tiny_default(load=0.0, routing="dor", rx_channels=rx_channels,
-                           check_invariants=True)
+                           check_invariants=True, **SCALAR)
         sim = NetworkSimulator(cfg)
         a = Message(0, 1, 0, 8, created_cycle=0)
         b = Message(1, 4, 0, 8, created_cycle=0)
@@ -64,7 +69,7 @@ class TestDetectionWithMultiRx:
         """A message blocked on ejection waits on *every* rx channel."""
         from repro.core.detector import DeadlockDetector
 
-        cfg = tiny_default(load=0.0, routing="dor", rx_channels=2)
+        cfg = tiny_default(load=0.0, routing="dor", rx_channels=2, **SCALAR)
         sim = NetworkSimulator(cfg)
         msgs = [Message(i, src, 0, 8, created_cycle=0)
                 for i, src in enumerate((1, 4, 3))]

@@ -8,6 +8,11 @@ from repro.network.message import Message, MessageStatus
 from repro.network.simulator import NetworkSimulator, build_topology
 from repro.network.topology import IrregularTorus, KAryNCube, Mesh
 
+#: hand-injected messages (``sim.queues[src].append``) bypass the generate
+#: phase, where the SoA engines give each message its state slot, so the
+#: tests that inject drive the scalar fast path
+SCALAR = dict(engine_vectorized=False)
+
 
 def make_sim(**overrides):
     return NetworkSimulator(tiny_default(**overrides))
@@ -35,7 +40,7 @@ class TestSingleMessageTransit:
     """Drive one hand-injected message through an otherwise idle network."""
 
     def _run_single(self, src, dest, length=4, routing="dor", max_cycles=200):
-        sim = make_sim(routing=routing, load=0.0, check_invariants=True)
+        sim = make_sim(routing=routing, load=0.0, check_invariants=True, **SCALAR)
         m = Message(0, src, dest, length, created_cycle=0)
         sim.queues[src].append(m)
         sim._live[0] = m
@@ -86,7 +91,7 @@ class TestPipelining:
     def test_throughput_of_long_message(self):
         """A worm streams: delivery takes ~distance + length cycles, not
         distance * length."""
-        sim = make_sim(load=0.0, routing="dor", buffer_depth=4)
+        sim = make_sim(load=0.0, routing="dor", buffer_depth=4, **SCALAR)
         m = Message(0, 0, 2, 16, created_cycle=0)
         sim.queues[0].append(m)
         sim._live[0] = m
@@ -102,7 +107,7 @@ class TestPipelining:
 class TestContention:
     def test_two_messages_share_reception_channel(self):
         """Both arrive at the same destination; one must wait, then drain."""
-        sim = make_sim(load=0.0, routing="dor", check_invariants=True)
+        sim = make_sim(load=0.0, routing="dor", check_invariants=True, **SCALAR)
         a = Message(0, 1, 0, 4, created_cycle=0)
         b = Message(1, 4, 0, 4, created_cycle=0)
         sim.queues[1].append(a)
@@ -118,7 +123,7 @@ class TestContention:
 
     def test_injection_serialized_per_node(self):
         """Messages from one source enter the network one at a time."""
-        sim = make_sim(load=0.0, routing="dor")
+        sim = make_sim(load=0.0, routing="dor", **SCALAR)
         msgs = [Message(i, 0, 2, 4, created_cycle=0) for i in range(3)]
         for m in msgs:
             sim.queues[0].append(m)
@@ -171,7 +176,7 @@ class TestRunHarness:
 class TestLinkBandwidth:
     def test_one_flit_per_link_per_cycle(self):
         """With 2 VCs two messages share a link at half rate each."""
-        sim = make_sim(load=0.0, num_vcs=2, routing="dor")
+        sim = make_sim(load=0.0, num_vcs=2, routing="dor", **SCALAR)
         a = Message(0, 0, 2, 8, created_cycle=0)
         b = Message(1, 0, 2, 8, created_cycle=0)
         # place both at node 0's queue: injection is serialized, so instead

@@ -80,22 +80,32 @@ def test_as_arrays_matches_object_model():
 
 
 def test_as_arrays_copies_list_backed_columns():
-    """The list-backed hot counters are exported as copies — mutating the
-    projection must not corrupt the engine's state (the numpy-backed
-    columns are documented as direct views, pinned here too)."""
+    """Every column of the default engine's state is a list and is exported
+    as a copy — mutating the projection must not corrupt the engine's
+    state.  The kernel tier's numpy-backed columns are exported as direct
+    views, pinned here too."""
     sim = _saturated_sim()
     for _ in range(50):
         sim.step()
     soa = sim.soa
     arrays = soa.as_arrays()
-    before = list(soa.at_source)
-    arrays["at_source"] += 1000
-    arrays["vc_occupancy"] += 1000
-    assert soa.at_source == before
-    assert all(occ < 1000 for occ in soa.vc_occupancy)
-    assert arrays["vc_owner"] is soa.vc_owner
-    assert arrays["rx_owner"] is soa.rx_owner
+    before = {
+        name: list(getattr(soa, name)) for name in arrays if name != "vc_capacity"
+    }
+    for name in before:
+        assert type(getattr(soa, name)) is list, name
+        arrays[name] += 100
+    for name, col in before.items():
+        assert getattr(soa, name) == col, name
     soa.verify(sim)  # the projection round-trip left the mirrors intact
+
+    kern = NetworkSimulator(sim.config.replace(engine_kernels=True))
+    for _ in range(50):
+        kern.step()
+    views = kern.soa.as_arrays()
+    for name in ("vc_owner", "rx_owner", "msg_id", "routable", "live"):
+        assert views[name] is getattr(kern.soa, name), name
+    assert type(kern.soa.at_source) is list  # hot counters stay lists
 
 
 @pytest.mark.parametrize(
